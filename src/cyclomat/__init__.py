@@ -17,7 +17,9 @@ from .errors import (
     EllOne,
     EllTooSmall,
     EvenP,
+    InvalidDegree,
     InvalidEll,
+    InvalidJobs,
     IoFailure,
     KEven,
     NoModulusAvailable,
@@ -76,7 +78,9 @@ from .diffset import (
     is_diffset_gram,
     is_diffset_lehmer,
     is_diffset_sumsq,
+    iter_search,
     modified_diffset,
+    passes_prefilter,
     search,
     verify_congruences,
     verify_determinants,

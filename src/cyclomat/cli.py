@@ -22,8 +22,8 @@ from .cyclotomy import CycloCtx, build_matrices, verify_elementary_laws
 from .diffset import (
     as_odd_prime_power,
     build_report,
+    iter_search,
     modified_diffset,
-    search,
 )
 from .errors import CyclomatError, KEven
 from .field import build_field
@@ -192,8 +192,8 @@ def _cmd_diffset(args, out):
 
 
 def _cmd_search(args, out):
-    hits = search(args.ell, args.max_q, min_q=args.min_q,
-                  prime_only=args.prime_only, jobs=args.jobs)
+    hits = iter_search(args.ell, args.max_q, min_q=args.min_q,
+                       prime_only=args.prime_only, jobs=args.jobs)
     code = EXIT_OK
     for report in hits:
         out.write(dumps(report.to_obj(), compact=True) + "\n")

@@ -26,6 +26,7 @@ same treatment with its own criterion.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .cyclotomy import CycloCtx, build_matrices
 from .errors import (
     ContextTooLarge,
     EllOne,
+    InvalidJobs,
     NotADifferenceSet,
     RangeTooLarge,
 )
@@ -628,31 +630,63 @@ def _search_one(args):
     return build_report(ctx)
 
 
-def search(ell, max_q, min_q=3, prime_only=False, jobs=1):
-    """Scan prime powers q = 1 (mod ell) in [min_q, max_q] for power
-    difference sets.  The cheap first-column detector screens candidates;
-    every hit gets the full certificate battery, and the report records
-    whether q is prime and whether k is a perfect square."""
+def passes_prefilter(q, ell):
+    """Lehmer's necessary conditions for K to be a difference set: k odd and
+    ell | k - 1, with k = (q - 1) / ell.  For even ell this is
+    q = ell + 1 (mod ell^2); for odd ell no q passes."""
+    k, r = divmod(q - 1, ell)
+    return r == 0 and k % 2 == 1 and (k - 1) % ell == 0
+
+
+def worker_count(jobs):
+    """Worker processes for a search with ``jobs`` requested: at least one
+    is required, and more than the CPU count is clamped to it."""
+    if jobs < 1:
+        raise InvalidJobs("jobs must be >= 1, got %d" % jobs)
+    return min(jobs, os.cpu_count() or 1)
+
+
+def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
+    """Scan prime powers q in [min_q, max_q] for power difference sets and
+    yield each hit's report in increasing q, as soon as it is certified.
+
+    Only q passing the Lehmer prefilter get a field and a table; the cheap
+    first-column detector screens those, and every hit gets the full
+    certificate battery, recording whether q is prime and whether k is a
+    perfect square.  Bad arguments raise here, before any iteration."""
     if ell < 2:
         raise EllOne("search needs ell >= 2")
     if max_q > SEARCH_MAX_Q:
         raise RangeTooLarge("search bounded at q <= %d" % SEARCH_MAX_Q)
-    start = max(3, min_q)
+    workers = worker_count(jobs)
     candidates = []
-    for q in range(start, max_q + 1):
-        if q % ell != 1:
+    for q in range(max(3, min_q), max_q + 1):
+        if not passes_prefilter(q, ell):
             continue
         pn = as_odd_prime_power(q)
         if pn is None or (prime_only and pn[1] != 1):
             continue
         candidates.append((q, pn[0], pn[1], ell))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    return _iter_hits(candidates, workers)
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_search_one, candidates, chunksize=8))
-    else:
-        results = [_search_one(c) for c in candidates]
-    hits = [r for r in results if r is not None]
-    hits.sort(key=lambda r: r.q)
-    return hits
+
+def _iter_hits(candidates, workers):
+    if workers == 1:
+        yield from (r for r in map(_search_one, candidates) if r is not None)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        results = pool.map(_search_one, candidates, chunksize=8)
+        yield from (r for r in results if r is not None)
+    finally:  # a stream closed early drops the candidates not yet started
+        pool.shutdown(cancel_futures=True)
+
+
+def search(ell, max_q, min_q=3, prime_only=False, jobs=1):
+    """The hits of iter_search as a list, sorted by q."""
+    return list(iter_search(ell, max_q, min_q=min_q, prime_only=prime_only,
+                            jobs=jobs))

@@ -17,6 +17,10 @@ class CompositeP(CyclomatError):
     """p failed the primality test."""
 
 
+class InvalidDegree(CyclomatError):
+    """Extension degree n is not a positive integer."""
+
+
 class ReducibleModulus(CyclomatError):
     """Supplied modulus polynomial is not irreducible over F_p."""
 
@@ -54,11 +58,16 @@ class KEven(CyclomatError):
 
 
 class ContextTooLarge(CyclomatError):
-    """Field exceeds the size guard for an exhaustive verification."""
+    """Field exceeds a size guard: the int64 table bound or an exhaustive
+    verification's limit."""
 
 
 class NotADifferenceSet(CyclomatError):
     """Certificate operation called on a context that is not a difference set."""
+
+
+class InvalidJobs(CyclomatError):
+    """Worker count for a search is not positive."""
 
 
 class RangeTooLarge(CyclomatError):

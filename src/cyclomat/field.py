@@ -3,7 +3,9 @@
 Elements live in the polynomial basis: sum_i c_i * x^i with c_i in [0, p) is
 identified by its canonical index sum_i c_i * p**i, an integer in [0, q).
 All hot paths work on these indices, which makes the power and dlog tables
-plain flat arrays with O(1) addressing.
+plain flat arrays with O(1) addressing.  One kernel builds every power table
+by doubling, since multiplication by g^s is F_p-linear on digit vectors; its
+int64 steps are exact while n (p-1)^2 < 2^63, else ContextTooLarge is raised.
 
 The generator is the element of smallest canonical index with full
 multiplicative order, so every table derived from a field is reproducible;
@@ -18,7 +20,9 @@ import numpy as np
 
 from .errors import (
     CompositeP,
+    ContextTooLarge,
     EvenP,
+    InvalidDegree,
     NoModulusAvailable,
     NotAGenerator,
     ReducibleModulus,
@@ -314,7 +318,11 @@ class FieldCtx:
         if not is_prime(p):
             raise CompositeP("p must be prime, got %d" % p)
         if n < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise InvalidDegree("extension degree must be >= 1, got %d" % n)
+        # n > 63 short-cuts q > 2^63 (p >= 3) without evaluating p ** n
+        if n * (p - 1) ** 2 >= 2 ** 63 or n > 63 or p ** n > 2 ** 63:
+            raise ContextTooLarge("F_%d^%d is past the int64 table bounds "
+                                  "n (p-1)^2 < 2^63, q <= 2^63" % (p, n))
         self.p = p
         self.n = n
         self.q = p ** n
@@ -366,33 +374,27 @@ class FieldCtx:
         return all(self.pow_idx(idx, m // f) != 1 for f, _ in self.factors_qm1)
 
     def _build_tables(self):
-        q, p, g = self.q, self.p, self.generator_index
-        if self.n == 1:
-            block = min(1 << 12, q - 1)
-            pows = np.empty(q - 1, dtype=np.int64)
-            cur = 1
-            for e in range(block):
-                pows[e] = cur
-                cur = cur * g % p
-            if q - 1 > block:
-                gb = pow(g, block, p)
-                for s in range(block, q - 1, block):
-                    e = min(block, q - 1 - s)
-                    np.multiply(pows[s - block:s - block + e], gb,
-                                out=pows[s:s + e])
-                    np.mod(pows[s:s + e], p, out=pows[s:s + e])
-        else:
-            lst = [0] * (q - 1)
-            cur = 1
-            mul = self.mul_idx
-            for e in range(q - 1):
-                lst[e] = cur
-                cur = mul(cur, g)
-            if cur != 1:
-                raise AssertionError("generator power sequence did not close")
-            pows = np.array(lst, dtype=np.int64)
+        # Multiplication by h = g^s is F_p-linear on digit vectors; column i of
+        # its matrix holds the digits of h * x^i, so g^s .. g^(2s-1) are that
+        # matrix times the digits of g^0 .. g^(s-1), mod p.  Entries stay below
+        # n (p-1)^2 and indices below q; __init__ bounds both by 2^63.
+        q, p, n = self.q, self.p, self.n
+        m = q - 1
+        basis = [p ** i for i in range(n)]
+        digits = np.zeros((n, m), dtype=np.int64)
+        digits[0, 0] = 1
+        s, h = 1, self.generator_index
+        while s < m:
+            e = min(s, m - s)
+            mat = np.array([self.decode(self.mul_idx(h, x)) for x in basis],
+                           dtype=np.int64).T
+            np.matmul(mat, digits[:, :e], out=digits[:, s:s + e])
+            np.mod(digits[:, s:s + e], p, out=digits[:, s:s + e])
+            s, h = s + e, self.mul_idx(h, h)
+        pows = np.array(basis, dtype=np.int64) @ digits
+        del digits
         dlog = np.full(q, -1, dtype=np.int64)
-        dlog[pows] = np.arange(q - 1, dtype=np.int64)
+        dlog[pows] = np.arange(m, dtype=np.int64)
         if int(dlog[0]) != -1 or int(np.count_nonzero(dlog < 0)) != 1:
             raise AssertionError("dlog table is not a bijection; "
                                  "generator lacks full order")
@@ -516,10 +518,7 @@ def find_generator(ctx, override=None):
     """The field's deterministic generator, or an order-verified override."""
     if override is None:
         return ctx.generator
-    idx = override.index if isinstance(override, FieldElem) else int(override)
-    if idx % ctx.q == 0 or not ctx._has_full_order(idx % ctx.q):
-        raise NotAGenerator("index %d does not generate F_%d^*" % (idx, ctx.q))
-    return FieldElem(ctx, idx)
+    return FieldElem(ctx, ctx._resolve_generator(override))
 
 
 def dlog(ctx, x):

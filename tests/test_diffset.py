@@ -6,6 +6,7 @@ from cyclomat import (
     ContextTooLarge,
     CycloCtx,
     EllOne,
+    InvalidJobs,
     IntMatrix,
     IntPoly,
     NotADifferenceSet,
@@ -20,12 +21,15 @@ from cyclomat import (
     is_diffset_lehmer,
     is_diffset_sumsq,
     modified_diffset,
+    passes_prefilter,
     search,
     verify_congruences,
     verify_determinants,
     verify_gram_identities,
     verify_spectral,
 )
+from cyclomat import diffset
+from cyclomat.diffset import worker_count
 
 import reference_data as ref
 
@@ -322,6 +326,46 @@ def test_search_parallel_merge():
     except (OSError, PermissionError):
         pytest.skip("process pool unavailable in sandbox")
     assert [r.q for r in hits] == [7, 11, 19, 23, 27, 31, 43, 47]
+
+
+def test_search_screens_only_prefiltered_candidates(monkeypatch):
+    seen = []
+    screen = diffset._search_one
+
+    def record(candidate):
+        seen.append(candidate[0])
+        return screen(candidate)
+
+    monkeypatch.setattr(diffset, "_search_one", record)
+    assert [r.q for r in search(4, 2000)] == [37, 101, 197, 677]
+    assert seen and all(q % 16 == 5 for q in seen)
+    seen.clear()
+    assert search(3, 1000) == [] and seen == []  # odd ell: nothing to build
+
+
+def test_prefilter_rejects_only_non_hits():
+    # every q the prefilter rejects fails Lehmer's criterion on the table
+    fields = {}
+    for ell in range(2, 13, 2):
+        for q in range(ell + 1, 3001, ell):
+            pn = as_odd_prime_power(q)
+            if pn is None or passes_prefilter(q, ell):
+                continue
+            if q not in fields:
+                fields[q] = build_field(*pn)
+            assert not is_diffset_lehmer(CycloCtx(fields[q], ell)), (q, ell)
+
+
+def test_worker_count_clamps_without_spawning(monkeypatch):
+    monkeypatch.setattr(diffset.os, "cpu_count", lambda: 2)
+    assert [worker_count(j) for j in (1, 2, 64)] == [1, 2, 2]
+    monkeypatch.setattr(diffset.os, "cpu_count", lambda: None)
+    assert worker_count(8) == 1
+    for jobs in (0, -3):
+        with pytest.raises(InvalidJobs):
+            worker_count(jobs)
+    with pytest.raises(InvalidJobs):
+        search(2, 50, jobs=0)
 
 
 def test_large_quadratic_residue_parameters():

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclomat import (
     CompositeP,
+    ContextTooLarge,
     EvenP,
+    InvalidDegree,
     NoModulusAvailable,
     NotAGenerator,
     ReducibleModulus,
@@ -47,6 +50,8 @@ def test_build_field_rejects_bad_p():
         build_field(2)
     with pytest.raises(CompositeP):
         build_field(9)  # 9 = 3^2 must come in as (p=3, n=2)
+    with pytest.raises(InvalidDegree):
+        build_field(5, 0)
 
 
 def test_prime_field_basics(fields):
@@ -165,3 +170,58 @@ def test_dlog_table_is_bijection(fields):
     f = fields(31)
     seen = sorted(int(f.dlog[i]) for i in range(1, 31))
     assert seen == list(range(30))
+
+
+# (p, n) small enough for the repeated-multiplication reference
+SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (131, 1), (2029, 1), (3, 2), (3, 3),
+                (3, 4), (3, 5), (3, 6), (3, 7), (5, 2), (5, 3), (5, 4), (7, 2),
+                (7, 3), (11, 2), (11, 3), (13, 2), (43, 2)]
+
+
+def _next_irreducible(p, n, start):
+    """The first monic irreducible of degree n at or after canonical index
+    start of its low coefficients, wrapping around."""
+    for i in range(p ** n):
+        v = (start + i) % p ** n
+        coeffs = [(v // p ** j) % p for j in range(n)] + [1]
+        if is_irreducible(coeffs, p):
+            return coeffs
+    raise AssertionError("no irreducible of degree %d over F_%d" % (n, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_power_table_matches_repeated_multiplication(data):
+    p, n = data.draw(st.sampled_from(SMALL_FIELDS))
+    modulus = None
+    if n > 1 and data.draw(st.booleans()):
+        modulus = _next_irreducible(p, n, data.draw(st.integers(0, p ** n - 1)))
+    generator = None
+    if data.draw(st.booleans()):
+        probe = build_field(p, n, modulus=modulus)
+        start = data.draw(st.integers(1, probe.q - 1))
+        order = list(range(start, probe.q)) + list(range(1, start))
+        generator = next(i for i in order if probe._has_full_order(i))
+    f = build_field(p, n, modulus=modulus, generator=generator)
+    g = f.generator_index
+    if generator is not None:
+        assert g == generator
+    # reference: the generator's powers by repeated multiplication
+    ref = [1]
+    for _ in range(f.q - 2):
+        ref.append(f.mul_idx(ref[-1], g))
+    assert f.mul_idx(ref[-1], g) == 1
+    assert f.pows.tolist() == ref
+    assert int(f.dlog[0]) == -1
+    assert [int(f.dlog[v]) for v in ref] == list(range(f.q - 1))
+
+
+def test_int64_table_bound_guard():
+    # 3037000507 is the first prime above sqrt(2^63), so (p-1)^2 >= 2^63;
+    # the guard fires before q - 1 is factorized or any table allocated
+    with pytest.raises(ContextTooLarge):
+        build_field(3037000507)
+    with pytest.raises(ContextTooLarge):
+        build_field(3, 40)  # 3^40 > 2^63
+    with pytest.raises(ContextTooLarge):
+        build_field(3, 10 ** 12)  # refused without evaluating 3^(10^12)

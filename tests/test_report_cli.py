@@ -147,6 +147,31 @@ def test_cli_search_stream():
     assert all(json.loads(line)["is_difference_set"] for line in lines)
 
 
+def test_cli_search_streams_each_hit_when_certified(monkeypatch):
+    from cyclomat import diffset
+
+    screened = []
+    screen = diffset._search_one
+
+    def record(candidate):
+        screened.append(candidate[0])
+        return screen(candidate)
+
+    class Out:
+        def __init__(self):
+            self.lines = []
+
+        def write(self, text):
+            self.lines.append((json.loads(text)["q"], len(screened)))
+
+    monkeypatch.setattr(diffset, "_search_one", record)
+    out = Out()
+    assert main(["search", "--ell", "4", "--max-q", "200"], out=out) == 0
+    # each hit is written right after its own candidate, before the next one
+    assert out.lines == [(q, screened.index(q) + 1) for q in (37, 101, 197)]
+    assert len(screened) > 3
+
+
 def test_cli_survey_single_and_sweep():
     code, out, _ = run_cli("survey", "--ell", "8", "--p", "73")
     assert code == 0
@@ -173,6 +198,11 @@ def test_cli_usage_errors():
     code, _, err = run_cli("compute", "--p", "7", "--ell", "2",
                            "--emit", "zz")
     assert code == 1
+    code, _, err = run_cli("compute", "--p", "5", "--n", "0", "--ell", "2")
+    assert code == 1 and "InvalidDegree" in err
+    code, out, err = run_cli("search", "--ell", "2", "--max-q", "60",
+                             "--jobs", "0")
+    assert code == 1 and "InvalidJobs" in err and out == ""
 
 
 def test_cli_determinism_byte_identical():
