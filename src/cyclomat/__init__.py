@@ -17,6 +17,7 @@ from .errors import (
     EllOne,
     EllTooSmall,
     EvenP,
+    InternalError,
     InvalidDegree,
     InvalidEll,
     InvalidJobs,

@@ -8,7 +8,8 @@ Subcommands:
   search   -- scan a q-range for power difference sets (JSON lines)
   survey   -- column permutation survey (experimental data gathering)
 
-Exit codes: 0 clean, 1 usage or configuration error, 2 verification failure.
+Exit codes: 0 clean, 1 usage or configuration error, 2 verification
+failure or internal error (InternalError: a broken invariant).
 Output is byte-identical across runs for a fixed command line.
 """
 
@@ -18,29 +19,17 @@ import argparse
 import sys
 
 from . import __version__
-from .cyclotomy import CycloCtx, build_matrices, verify_elementary_laws
+from .cyclotomy import CycloCtx, build_matrices
 from .diffset import (
     as_odd_prime_power,
     build_report,
     iter_search,
     modified_diffset,
 )
-from .errors import CyclomatError, KEven
+from .errors import CyclomatError, InternalError, KEven
 from .field import build_field
 from .report import dumps, matrix_pretty, matrix_to_csv, matrix_to_obj
-from .schur import (
-    column_permutation_survey,
-    run_identity_suite,
-    verify_column_products,
-    verify_commutator,
-    verify_inner_product_identity,
-    verify_matrix_product_law,
-    verify_regular_representation,
-    verify_structure_constants,
-    verify_sum_of_squares,
-    verify_traces,
-    verify_transposed_product_law,
-)
+from .schur import SUITES, column_permutation_survey, run_identity_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,8 +70,7 @@ def _build_parser():
     v = subs.add_parser("verify", help="run identity suites")
     _add_field_args(v)
     v.add_argument("--ell", type=int, required=True)
-    v.add_argument("--suite", choices=("schur", "identities", "all"),
-                   default="all")
+    v.add_argument("--suite", choices=SUITES, default="all")
     v.add_argument("--seed", type=int, default=0)
 
     d = subs.add_parser("diffset", help="difference-set report")
@@ -153,27 +141,9 @@ def _cmd_compute(args, out):
     return EXIT_OK
 
 
-def _run_suite(ctx, suite, seed):
-    if suite == "all":
-        return run_identity_suite(ctx, seed=seed)
-    res = verify_elementary_laws(ctx)
-    if suite == "schur":
-        res.merge(verify_structure_constants(ctx))
-        res.merge(verify_regular_representation(ctx))
-        return res
-    res.merge(verify_matrix_product_law(ctx))
-    res.merge(verify_transposed_product_law(ctx))
-    res.merge(verify_commutator(ctx))
-    res.merge(verify_traces(ctx))
-    res.merge(verify_sum_of_squares(ctx))
-    res.merge(verify_inner_product_identity(ctx, seed=seed))
-    res.merge(verify_column_products(ctx))
-    return res
-
-
 def _cmd_verify(args, out):
     ctx = _make_ctx(args)
-    res = _run_suite(ctx, args.suite, args.seed)
+    res = run_identity_suite(ctx, seed=args.seed, suite=args.suite)
     payload = {"meta": _meta(ctx, suite=args.suite, seed=args.seed),
                "checks": res.to_obj()}
     out.write(dumps(payload) + "\n")
@@ -254,6 +224,9 @@ def main(argv=None, out=None, err=None):
     except _UsageError as exc:
         err.write("cyclo: error: %s\n" % exc)
         return EXIT_USAGE
+    except InternalError as exc:
+        err.write("cyclo: error: InternalError: %s\n" % exc)
+        return EXIT_VERIFICATION
     except CyclomatError as exc:
         err.write("cyclo: error: %s: %s\n" % (type(exc).__name__, exc))
         return EXIT_USAGE

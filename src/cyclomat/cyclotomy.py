@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EllTooSmall, InvalidEll
+from .errors import EllTooSmall, InternalError, InvalidEll
 from .field import FieldCtx
 from .intmat import IntMatrix
 from .report import VerifySuiteResult
@@ -68,12 +68,12 @@ class CycloCtx:
         self.qprime = ((field.q - 1) // 2) % ell
         expected_qprime = 0 if self.k % 2 == 0 else ell // 2
         if self.qprime != expected_qprime:
-            raise AssertionError("half-shift classification is broken")
+            raise InternalError("half-shift classification is broken")
         self.table = _build_table(field, ell)
         laws = verify_elementary_laws(self)
         if not laws.passed:
-            raise AssertionError("table violates its defining laws: %s"
-                                 % [c.name for c in laws.failures()])
+            raise InternalError("table violates its defining laws: %s"
+                                % [c.name for c in laws.failures()])
 
     def num(self, i, j):
         """The cyclotomic number (i, j); any integers, reduced mod ell."""

@@ -35,6 +35,7 @@ from .cyclotomy import CycloCtx, build_matrices
 from .errors import (
     ContextTooLarge,
     EllOne,
+    InternalError,
     InvalidJobs,
     NotADifferenceSet,
     RangeTooLarge,
@@ -112,7 +113,7 @@ def is_diffset_bruteforce(ctx, literal=False):
                                   % LITERAL_MAX_Q)
         counts = _difference_counts_literal(field, ell)
         if counts[0] != k:
-            raise AssertionError("x - x pairs must contribute k at zero")
+            raise InternalError("x - x pairs must contribute k at zero")
         values = set(counts[1:])
     else:
         if ctx.q > BRUTEFORCE_MAX_Q:
@@ -123,7 +124,7 @@ def is_diffset_bruteforce(ctx, literal=False):
         return False, None
     lam = values.pop()
     if lam * ell != k - 1 or k % 2 == 0 or ell % 2 == 1:
-        raise AssertionError("difference-set consequences failed; build bug")
+        raise InternalError("difference-set consequences failed; build bug")
     return True, lam
 
 
@@ -137,7 +138,7 @@ def is_diffset_lehmer(ctx):
         return False
     k, ell = ctx.k, ctx.ell
     if k % 2 == 0 or ell % 2 == 1 or col0[0] * ell != k - 1:
-        raise AssertionError("difference-set consequences failed; build bug")
+        raise InternalError("difference-set consequences failed; build bug")
     return True
 
 
@@ -157,13 +158,13 @@ def is_diffset_sumsq(ctx):
     col0 = [ctx.table[i][0] for i in range(ell)]
     # lower bound ell * sum (i,0)^2 >= (k-1)^2, tight iff column 0 constant
     if ell * colsq[0] < (k - 1) ** 2:
-        raise AssertionError("square-sum lower bound failed; build bug")
+        raise InternalError("square-sum lower bound failed; build bug")
     if (ell * colsq[0] == (k - 1) ** 2) != (len(set(col0)) == 1):
-        raise AssertionError("square-sum tightness mismatch; build bug")
+        raise InternalError("square-sum tightness mismatch; build bug")
     if k % 2 == 0 or k == 1:
         return False
     if any(colsq[j] > colsq[qp] for j in range(1, ell)):
-        raise AssertionError("half-shift column must dominate; build bug")
+        raise InternalError("half-shift column must dominate; build bug")
     return any(math.gcd(j, ell) == 1 and colsq[j] == colsq[qp]
                for j in range(1, ell))
 
@@ -525,14 +526,14 @@ def modified_diffset(ctx):
     bf_counts = _modified_counts_by_class(field, ell)
     bf = len(set(bf_counts)) == 1
     if bf_counts != crit_counts:
-        raise AssertionError("modified counts disagree with the table; build bug")
+        raise InternalError("modified counts disagree with the table; build bug")
 
     lam0 = None
     certs = VerifySuiteResult()
     if crit:
         lam0 = crit_counts[0]
         if lam0 * ell != k0 or k0 % 2 != 0 or ell % 2 != 0:
-            raise AssertionError("modified difference-set consequences failed")
+            raise InternalError("modified difference-set consequences failed")
         a = IntMatrix(ctx.table)
         ident = IntMatrix.identity(ell)
         api = a + ident
@@ -565,8 +566,8 @@ def build_report(ctx, literal_oracle=False):
         "gram": is_diffset_gram(ctx),
     }
     if len(set(verdicts.values())) != 1:
-        raise AssertionError("detectors disagree on q=%d ell=%d: %r"
-                             % (ctx.q, ctx.ell, verdicts))
+        raise InternalError("detectors disagree on q=%d ell=%d: %r"
+                            % (ctx.q, ctx.ell, verdicts))
     lam = _lambda_if_integral(ctx)
     certs = VerifySuiteResult()
     determinants = None
@@ -575,7 +576,7 @@ def build_report(ctx, literal_oracle=False):
     schoenberg_pass = None
     if bf:
         if lam != lam_bf:
-            raise AssertionError("lambda mismatch between routes")
+            raise InternalError("lambda mismatch between routes")
         certs.merge(verify_gram_identities(ctx))
         spec = verify_spectral(ctx)
         certs.merge(spec)

@@ -74,5 +74,11 @@ class RangeTooLarge(CyclomatError):
     """Search range exceeds the desk-scale bound."""
 
 
+class InternalError(CyclomatError):
+    """An invariant that holds for every valid input failed: a defect in
+    this package, never a usage error.  Replaces bare asserts, which
+    python -O strips."""
+
+
 class IoFailure(CyclomatError):
     """Emission to an output stream failed."""

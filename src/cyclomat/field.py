@@ -22,6 +22,7 @@ from .errors import (
     CompositeP,
     ContextTooLarge,
     EvenP,
+    InternalError,
     InvalidDegree,
     NoModulusAvailable,
     NotAGenerator,
@@ -364,10 +365,12 @@ class FieldCtx:
                 raise NotAGenerator("index %d does not generate F_%d^*" %
                                     (idx, self.q))
             return idx
-        for idx in range(2, self.q):
+        # for n > 1, indices below p form the prime subfield, whose elements
+        # have order dividing p - 1 < q - 1
+        for idx in range(2 if self.n == 1 else self.p, self.q):
             if self._has_full_order(idx):
                 return idx
-        raise AssertionError("no generator found; field construction is broken")
+        raise InternalError("no generator found; field construction is broken")
 
     def _has_full_order(self, idx):
         m = self.q - 1
@@ -396,8 +399,8 @@ class FieldCtx:
         dlog = np.full(q, -1, dtype=np.int64)
         dlog[pows] = np.arange(m, dtype=np.int64)
         if int(dlog[0]) != -1 or int(np.count_nonzero(dlog < 0)) != 1:
-            raise AssertionError("dlog table is not a bijection; "
-                                 "generator lacks full order")
+            raise InternalError("dlog table is not a bijection; "
+                                "generator lacks full order")
         return pows, dlog
 
     # -- index arithmetic ----------------------------------------------

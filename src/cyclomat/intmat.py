@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalError
 
 
 class IntMatrix:
@@ -239,7 +239,7 @@ class IntMatrix:
             am = self * m
             t = am.trace()
             if t % k:
-                raise AssertionError("Faddeev-LeVerrier division must be exact")
+                raise InternalError("Faddeev-LeVerrier division must be exact")
             coeffs[d - k] = -(t // k)
         return IntPoly(coeffs)
 
@@ -451,7 +451,7 @@ def _fr_divmod(a, b):
 def _fr_div_exact(a, b):
     q, r = _fr_divmod(a, b)
     if r:
-        raise AssertionError("expected exact polynomial division")
+        raise InternalError("expected exact polynomial division")
     return q
 
 
@@ -560,7 +560,8 @@ def _bisect_root(c, a, b, tol_fr):
     fb = _fr_eval(c, b)
     if fb == 0:
         return float(b)
-    assert (fa > 0) != (fb > 0), "bracketing interval must change sign"
+    if (fa > 0) == (fb > 0):
+        raise InternalError("bracketing interval must change sign")
     while b - a > tol_fr:
         mid = (a + b) / 2
         fm = _fr_eval(c, mid)

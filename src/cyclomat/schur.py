@@ -14,22 +14,38 @@ Convention: the indicator delta(a, b) below is 1 when a = b (mod ell) and 0
 otherwise, and scale factors of k are always written explicitly.  The
 convolution oracle in verify_structure_constants confirms this normalization
 against direct group-ring arithmetic.
+
+Group-ring products use the characters of (F_q, +) = (Z/p)^n, on which a
+class indicator lives once reshaped to (p,)*n: one rfftn per class, then
+batched inverses over slices of v, rounded; a residual of 1/4 or more raises
+InternalError.  Past q = MAX_CONVOLUTION_Q or SPECTRA_BUDGET_BYTES of spectra
+it raises ContextTooLarge before allocating.
+
+Matrix laws are tensor laws over S[v] = A_v and C[u, v, w] = (u-v+s, w-v),
+checked one u-block at a time up to the first failing (u, v) in row-major
+order.  With m the largest of k and |table entries|, no product, partial sum
+or result exceeds (ell+2) ell (m+1)^2 (a trace adds ell^2 products of size
+m^2).  Below 2^53 the arrays are float64, whose BLAS products are then exact
+integers; past it they are Python ints (dtype=object).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
 from .cyclotomy import shifted_matrix, verify_elementary_laws
-from .errors import ContextTooLarge, EllTooSmall, KEven
+from .errors import ContextTooLarge, EllTooSmall, InternalError, KEven
 from .intmat import IntMatrix
 from .report import VerifySuiteResult
 
 MAX_CONVOLUTION_Q = 10 ** 5
+# Bytes of the class spectra the convolution keeps, and of the arrays a
+# verifier works on at once (a slice of v, a chunk of quadruples, a u-block).
+SPECTRA_BUDGET_BYTES = 1 << 28
+ARRAY_BUDGET_BYTES = 1 << 26
 EXHAUSTIVE_QUADRUPLE_LIMIT = 12
 DEFAULT_SAMPLE_COUNT = 10 ** 4
 
@@ -56,19 +72,8 @@ class GroupRingElem:
         return (isinstance(other, GroupRingElem)
                 and self.field is other.field and self.coeffs == other.coeffs)
 
-    __hash__ = None
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, 0) + c
-        return GroupRingElem(self.field, out)
-
     def __mul__(self, other):
         """Convolution over the additive group of the field."""
-        if isinstance(other, int):
-            return GroupRingElem(self.field,
-                                 {i: c * other for i, c in self.coeffs.items()})
         add = self.field.add_idx
         out = {}
         for x, cx in self.coeffs.items():
@@ -76,8 +81,6 @@ class GroupRingElem:
                 z = add(x, y)
                 out[z] = out.get(z, 0) + cx * cy
         return GroupRingElem(self.field, out)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return "GroupRingElem(support=%d)" % len(self.coeffs)
@@ -98,59 +101,71 @@ class RegularRep:
 
 
 def regular_rep(ctx, v):
-    ell, k, qp = ctx.ell, ctx.k, ctx.qprime
+    """A_v below a first row e_v and beside a first column k e_{v+q'}."""
+    ell = ctx.ell
     v %= ell
-    block = shifted_matrix(ctx, v)
-    rows = [[0] * (ell + 1) for _ in range(ell + 1)]
+    rows = [[0] * (ell + 1)] + [[0] + list(row)
+                                for row in shifted_matrix(ctx, v).rows]
     rows[0][1 + v] = 1
-    rows[1 + (v + qp) % ell][0] = k
-    for i in range(ell):
-        rows[1 + i][1:] = block.rows[i]
+    rows[1 + (v + ctx.qprime) % ell][0] = ctx.k
     return RegularRep(v=v, matrix=IntMatrix(rows))
-
-
-def _delta(ell, a, b):
-    return 1 if (a - b) % ell == 0 else 0
-
-
-def _combo(mats, coeffs):
-    """Integer combination sum_w coeffs[w] * mats[w] as plain row lists."""
-    d = mats[0].dim
-    acc = [[0] * d for _ in range(d)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for ai, mi in zip(acc, m.rows):
-                for j in range(d):
-                    ai[j] += c * mi[j]
-    return acc
 
 
 # ----------------------------------------------------------------------
 # group-ring level
 # ----------------------------------------------------------------------
 
+def _convolution_refusal(ctx):
+    """Why the group-ring convolution refuses ctx, or None.  The complex
+    rfftn stack of the ell class indicators takes 8 ell (q + q/p) bytes."""
+    if ctx.q > MAX_CONVOLUTION_Q:
+        return "group-ring convolution guarded at q <= %d" % MAX_CONVOLUTION_Q
+    if 8 * ctx.ell * (ctx.q + ctx.q // ctx.field.p) > SPECTRA_BUDGET_BYTES:
+        return "class spectra at ell=%d, q=%d are past %d bytes" % (
+            ctx.ell, ctx.q, SPECTRA_BUDGET_BYTES)
+    return None
+
+
+def _class_products(ctx):
+    """A generator function of i yielding (start, counts) over slices of v,
+    with counts[v - start, z] = #{(x, y) in g^i K x g^v K : x + y = z}, from
+    the rfftn of each class indicator on (p,)*n (index 0 in no class)."""
+    from numpy import fft
+
+    field, ell, q = ctx.field, ctx.ell, ctx.q
+    why = _convolution_refusal(ctx)
+    if why is not None:
+        raise ContextTooLarge(why)
+    shape, axes = (field.p,) * field.n, tuple(range(1, field.n + 1))
+    # about eight (step, q) arrays of 8-byte words are live at once
+    step = max(1, ARRAY_BUDGET_BYTES // (64 * q))
+    cls = field.dlog % ell
+    cls[0] = -1                                  # index 0 is in no class
+    spec = np.empty((ell,) + shape[:-1] + (field.p // 2 + 1,), dtype=complex)
+    for start in range(0, ell, step):
+        ind = cls == np.arange(start, min(start + step, ell))[:, None]
+        spec[start:start + step] = fft.rfftn(ind.reshape((-1,) + shape),
+                                             axes=axes)
+
+    def counts(i):
+        for start in range(0, ell, step):
+            raw = fft.irfftn(spec[i] * spec[start:start + step], s=shape,
+                             axes=axes).reshape(-1, q)
+            out = np.rint(raw)
+            worst = float(np.abs(raw - out).max())
+            if worst >= 0.25:
+                raise InternalError("convolution residual %.3g >= 1/4 for "
+                                    "class %d" % (worst, i))
+            yield start, out.astype(np.int64)
+
+    return counts
+
+
 def _class_convolution_counts(ctx, i, v):
     """counts[z] = #{(x, y) in g^i K x g^v K : x + y = z}, as an int64 array."""
-    field = ctx.field
-    q, ell = field.q, ctx.ell
-    if field.n == 1:
-        p = field.p
-        xs = field.pows[i % ell::ell]
-        ys = field.pows[v % ell::ell]
-        counts = np.zeros(q, dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(1, int(ys.size)))
-        for s in range(0, int(xs.size), chunk):
-            blk = (xs[s:s + chunk, None] + ys[None, :]) % p
-            counts += np.bincount(blk.ravel(), minlength=q)
-        return counts
-    add = field.add_idx
-    counts = np.zeros(q, dtype=np.int64)
-    xs = [int(t) for t in field.coset_indices(i, ell)]
-    ys = [int(t) for t in field.coset_indices(v, ell)]
-    for x in xs:
-        for y in ys:
-            counts[add(x, y)] += 1
-    return counts
+    v %= ctx.ell
+    return next(c[v - start] for start, c in _class_products(ctx)(i % ctx.ell)
+                if v < start + len(c))
 
 
 def verify_structure_constants(ctx):
@@ -158,29 +173,68 @@ def verify_structure_constants(ctx):
     ring and confirm the decomposition over {1, alpha_0, ..., alpha_{ell-1}}:
     the identity coefficient is k exactly when i = v + q' (mod ell), else 0,
     and the alpha_j coefficient is the table entry (i-v, j-v)."""
-    if ctx.q > MAX_CONVOLUTION_Q:
-        raise ContextTooLarge("group-ring convolution guarded at q <= %d"
-                              % MAX_CONVOLUTION_Q)
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
+    counts = _class_products(ctx)
     cls = ctx.field.dlog % ell
+    cls[0] = ell                    # column ell holds the identity coefficient
     tab = np.array(ctx.table, dtype=np.int64)
-    res = VerifySuiteResult()
+    vs = np.arange(ell)
+
+    def block(i):
+        # coef[v, c] = (i - v, c - v), the alpha_c coefficient of the pair
+        coef = np.empty((ell, ell + 1), dtype=np.int64)
+        coef[:, :ell] = tab[((i - vs) % ell)[:, None], (vs - vs[:, None]) % ell]
+        coef[:, ell] = np.where((i - vs - qp) % ell == 0, k, 0)
+        for start, lhs in counts(i):
+            rhs = np.take(coef[start:start + len(lhs)], cls, axis=1)
+            yield start, lhs, rhs
+
+    return _add_law(VerifySuiteResult(), "structure_constants", ell, block,
+                    lambda lhs, rhs: {
+                        "identity_coefficient": int(lhs[0]),
+                        "expected_identity_coefficient": int(rhs[0])},
+                    keys="iv")
+
+
+# ----------------------------------------------------------------------
+# tensor laws: one skeleton for every "all (u, v)" identity
+# ----------------------------------------------------------------------
+
+def _law_dtype(ctx):
+    """float64 if it is exact under the bound in the module docstring."""
+    m = max([ctx.k] + [abs(x) for row in ctx.table for x in row]) + 1
+    return np.float64 if (ctx.ell + 2) * ctx.ell * m * m < 1 << 53 else object
+
+
+def _law_tensors(ctx, shift=None):
+    """S[v] = A_v and, given a shift, C[u, v, w] = (u - v + shift, w - v)."""
+    ell = ctx.ell
+    if 8 * (ell + 1) ** 3 > ARRAY_BUDGET_BYTES:
+        raise ContextTooLarge("tensor laws at ell=%d are past the %d-byte "
+                              "budget" % (ell, ARRAY_BUDGET_BYTES))
+    t = np.array(ctx.table, dtype=_law_dtype(ctx))
+    r = np.arange(ell)
+    d = (r[None, :] - r[:, None]) % ell           # d[v, a] = a - v
+    s = t[d[:, :, None], d[:, None, :]]
+    if shift is None:
+        return s, None
+    c = t[((r[:, None] - r[None, :] + shift) % ell)[:, :, None], d[None]]
+    return s, c
+
+
+def _add_law(res, name, ell, block, detail=None, keys="uv"):
+    """block(u) yields (v0, lhs, rhs), stacks over v = v0, v0 + 1, ... that
+    cover every v in order; record the first (u, v) where they differ."""
     fail = None
-    for i in range(ell):
-        for v in range(ell):
-            counts = _class_convolution_counts(ctx, i, v)
-            want_identity = k if (i - v - qp) % ell == 0 else 0
-            expected = tab[(i - v) % ell][(cls[1:] - v) % ell]
-            if int(counts[0]) != want_identity or not np.array_equal(
-                    counts[1:], expected):
-                fail = {"i": i, "v": v,
-                        "identity_coefficient": int(counts[0]),
-                        "expected_identity_coefficient": want_identity}
-                break
-        if fail:
+    for u, v0, lhs, rhs in ((u,) + b for u in range(ell) for b in block(u)):
+        bad = np.flatnonzero((lhs != rhs).reshape(len(lhs), -1).any(axis=1))
+        if bad.size:
+            x = int(bad[0])
+            fail = dict(zip(keys, (u, v0 + x)))
+            if detail is not None:
+                fail.update(detail(lhs[x], rhs[x]))
             break
-    res.add("structure_constants", fail is None,
-            params={"pairs": ell * ell}, detail=fail)
+    res.add(name, fail is None, params={"pairs": ell * ell}, detail=fail)
     return res
 
 
@@ -188,104 +242,68 @@ def verify_regular_representation(ctx):
     """The (ell+1)-dimensional representation is multiplicative:
     [alpha_u][alpha_v] = k*delta(u, v+q')*I + sum_w (u-v, w-v) [alpha_w]."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    t = ctx.table
-    reps = [regular_rep(ctx, v).matrix for v in range(ell)]
-    ident = IntMatrix.identity(ell + 1)
-    res = VerifySuiteResult()
-    fail = None
-    for u in range(ell):
-        for v in range(ell):
-            coeffs = [t[(u - v) % ell][(w - v) % ell] for w in range(ell)]
-            rhs = IntMatrix(_combo(reps, coeffs))
-            if _delta(ell, u, v + qp):
-                rhs = rhs + k * ident
-            if reps[u] * reps[v] != rhs:
-                fail = {"u": u, "v": v}
-                break
-        if fail:
-            break
-    res.add("regular_representation_product", fail is None,
-            params={"pairs": ell * ell}, detail=fail)
-    return res
+    _, c = _law_tensors(ctx, 0)
+    reps = np.array([regular_rep(ctx, v).matrix.rows for v in range(ell)],
+                    dtype=c.dtype)
+    e = np.arange(ell + 1)
 
+    def block(u):
+        rhs = np.matmul(c[u], reps.reshape(ell, -1)).reshape(reps.shape)
+        rhs[(u - qp) % ell, e, e] += k
+        yield 0, np.matmul(reps[u], reps), rhs
 
-# ----------------------------------------------------------------------
-# matrix level
-# ----------------------------------------------------------------------
+    return _add_law(VerifySuiteResult(), "regular_representation_product",
+                    ell, block)
+
 
 def verify_matrix_product_law(ctx):
     """A_u A_v = k(delta(u, v+q') I - E_{u+q', v}) + sum_w (u-v, w-v) A_w."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    t = ctx.table
-    shifts = [shifted_matrix(ctx, v) for v in range(ell)]
-    ident = IntMatrix.identity(ell)
-    res = VerifySuiteResult()
-    fail = None
-    for u in range(ell):
-        for v in range(ell):
-            coeffs = [t[(u - v) % ell][(w - v) % ell] for w in range(ell)]
-            rhs = IntMatrix(_combo(shifts, coeffs))
-            rhs = rhs - k * IntMatrix.elementary(ell, (u + qp) % ell, v)
-            if _delta(ell, u, v + qp):
-                rhs = rhs + k * ident
-            if shifts[u] * shifts[v] != rhs:
-                fail = {"u": u, "v": v,
-                        "residual": shifts[u] * shifts[v] - rhs}
-                break
-        if fail:
-            break
-    res.add("shifted_product_law", fail is None,
-            params={"pairs": ell * ell}, detail=fail)
-    return res
+    s, c = _law_tensors(ctx, 0)
+    r = np.arange(ell)
+
+    def block(u):
+        rhs = np.matmul(c[u], s.reshape(ell, -1)).reshape(s.shape)
+        rhs[r, (u + qp) % ell, r] -= k
+        rhs[(u - qp) % ell, r, r] += k
+        yield 0, np.matmul(s[u], s), rhs
+
+    return _add_law(VerifySuiteResult(), "shifted_product_law", ell, block,
+                    lambda lhs, rhs: {"residual":
+                                      IntMatrix((lhs - rhs).tolist())})
 
 
 def verify_transposed_product_law(ctx):
     """A_u^T A_v = k(delta(u, v) I - E_{u, v}) + sum_w (u-v+q', w-v) A_w,
     the law that encodes column inner products."""
-    ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    t = ctx.table
-    shifts = [shifted_matrix(ctx, v) for v in range(ell)]
-    ident = IntMatrix.identity(ell)
-    res = VerifySuiteResult()
-    fail = None
-    for u in range(ell):
-        for v in range(ell):
-            coeffs = [t[(u - v + qp) % ell][(w - v) % ell] for w in range(ell)]
-            rhs = IntMatrix(_combo(shifts, coeffs))
-            rhs = rhs - k * IntMatrix.elementary(ell, u, v)
-            if _delta(ell, u, v):
-                rhs = rhs + k * ident
-            if shifts[u].transpose() * shifts[v] != rhs:
-                fail = {"u": u, "v": v}
-                break
-        if fail:
-            break
-    res.add("transposed_product_law", fail is None,
-            params={"pairs": ell * ell}, detail=fail)
-    return res
+    ell, k = ctx.ell, ctx.k
+    s, c = _law_tensors(ctx, ctx.qprime)
+    r = np.arange(ell)
+
+    def block(u):
+        rhs = np.matmul(c[u], s.reshape(ell, -1)).reshape(s.shape)
+        rhs[r, u, r] -= k
+        rhs[u, r, r] += k
+        yield 0, np.matmul(s[u].T, s), rhs
+
+    return _add_law(VerifySuiteResult(), "transposed_product_law", ell, block)
 
 
 def verify_commutator(ctx):
     """A_u A_v - A_v A_u = k(E_{v+q', u} - E_{u+q', v}); in particular the
     cyclotomic matrix is normal up to a two-entry correction."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    shifts = [shifted_matrix(ctx, v) for v in range(ell)]
-    res = VerifySuiteResult()
-    fail = None
-    for u in range(ell):
-        for v in range(ell):
-            lhs = shifts[u] * shifts[v] - shifts[v] * shifts[u]
-            rhs = k * (IntMatrix.elementary(ell, (v + qp) % ell, u)
-                       - IntMatrix.elementary(ell, (u + qp) % ell, v))
-            if lhs != rhs:
-                fail = {"u": u, "v": v}
-                break
-        if fail:
-            break
-    res.add("commutator_law", fail is None,
-            params={"pairs": ell * ell}, detail=fail)
+    s, _ = _law_tensors(ctx)
+    r = np.arange(ell)
 
-    a = shifts[0]
+    def block(u):
+        rhs = np.zeros_like(s)
+        rhs[r, (r + qp) % ell, u] += k
+        rhs[r, (u + qp) % ell, r] -= k
+        yield 0, np.matmul(s[u], s) - np.matmul(s, s[u]), rhs
+
+    res = _add_law(VerifySuiteResult(), "commutator_law", ell, block)
+    a = shifted_matrix(ctx, 0)
     lhs = a.transpose() * a - a * a.transpose()
     rhs = k * (IntMatrix.elementary(ell, qp, qp)
                - IntMatrix.elementary(ell, 0, 0))
@@ -304,26 +322,22 @@ def verify_traces(ctx):
     + k(k-1); the parity split of tr(A^2); and tr(A^3) = (0, q')(q-3k)
     + k^2 (k-1)."""
     ell, k, qp, q = ctx.ell, ctx.k, ctx.qprime, ctx.q
-    shifts = [shifted_matrix(ctx, v) for v in range(ell)]
+    s, _ = _law_tensors(ctx)
     res = VerifySuiteResult()
 
-    bad = next((w for w in range(ell) if shifts[w].trace() != k - 1), None)
-    res.add("trace_of_shifts", bad is None,
-            detail=None if bad is None else {"w": bad})
+    bad = np.flatnonzero(np.trace(s, axis1=1, axis2=2) != k - 1)
+    res.add("trace_of_shifts", bad.size == 0,
+            detail={"w": int(bad[0])} if bad.size else None)
 
-    fail = None
-    for u in range(ell):
-        for v in range(ell):
-            want = (q - 2 * k) * _delta(ell, u - v, qp) + k * (k - 1)
-            if _trace_of_product(shifts[u], shifts[v]) != want:
-                fail = {"u": u, "v": v, "expected": want}
-                break
-        if fail:
-            break
-    res.add("trace_of_products", fail is None,
-            params={"pairs": ell * ell}, detail=fail)
+    def block(u):
+        want = np.full(ell, k * (k - 1), dtype=s.dtype)
+        want[(u - qp) % ell] += q - 2 * k
+        yield 0, np.matmul(s.reshape(ell, -1), s[u].T.reshape(-1)), want
 
-    a = shifts[0]
+    _add_law(res, "trace_of_products", ell, block,
+             lambda lhs, rhs: {"expected": int(rhs)})
+
+    a = shifted_matrix(ctx, 0)
     tr2 = _trace_of_product(a, a)
     want2 = k * (k - 1) + (q - 2 * k if k % 2 == 0 else 0)
     res.add("trace_of_square", tr2 == want2,
@@ -342,8 +356,7 @@ def verify_sum_of_squares(ctx):
     total = sum(v * v for row in ctx.table for v in row)
     want = ctx.q + ctx.k * (ctx.k - 3)
     a = IntMatrix(ctx.table)
-    gram_trace = _trace_of_product(a.transpose(), a)
-    ok = total == want == gram_trace
+    ok = total == want == _trace_of_product(a.transpose(), a)
     res = VerifySuiteResult()
     res.add("sum_of_squares", ok,
             detail={"computed": total, "expected": want})
@@ -363,34 +376,44 @@ def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
     with a seeded generator beyond that.
     """
     ell, k = ctx.ell, ctx.k
-    t = ctx.table
-    if quadruples is None:
-        if exhaustive is None:
-            exhaustive = ell <= EXHAUSTIVE_QUADRUPLE_LIMIT
-        if exhaustive:
-            quadruples = iter_product(range(ell), repeat=4)
-            mode = "exhaustive"
-        else:
-            rng = random.Random(seed)
-            quadruples = [tuple(rng.randrange(ell) for _ in range(4))
-                          for _ in range(samples)]
-            mode = "sampled"
+    if exhaustive is None:
+        exhaustive = ell <= EXHAUSTIVE_QUADRUPLE_LIMIT
+    if quadruples is not None:
+        mode, quads = "explicit", list(quadruples)
+    elif exhaustive:
+        mode, quads = "exhaustive", None        # row-major, made per chunk
     else:
-        mode = "explicit"
+        rng = random.Random(seed)
+        mode, quads = "sampled", [[rng.randrange(ell) for _ in range(4)]
+                                  for _ in range(samples)]
+    t = np.array(ctx.table, dtype=_law_dtype(ctx))
+    w = np.arange(ell)
+
+    def delta(a, b):
+        return ((a - b) % ell == 0).astype(np.int64)[:, 0]
+
     res = VerifySuiteResult()
-    fail = None
-    count = 0
-    for (i, j, u, v) in quadruples:
-        count += 1
-        lhs = sum(t[(w - u) % ell][(i - u) % ell]
-                  * t[(w - v) % ell][(j - v) % ell] for w in range(ell))
-        rhs = k * (_delta(ell, i, j) * _delta(ell, u, v)
-                   - _delta(ell, i, u) * _delta(ell, j, v)) \
-            + sum(t[(w - v) % ell][(u - v) % ell]
-                  * t[(w - j) % ell][(i - j) % ell] for w in range(ell))
-        if lhs != rhs:
-            fail = {"i": i, "j": j, "u": u, "v": v,
-                    "lhs": lhs, "rhs": rhs}
+    fail, count = None, ell ** 4 if quads is None else len(quads)
+    # about eight (step, ell) arrays of 8-byte words are live at once
+    step = max(1, ARRAY_BUDGET_BYTES // (64 * ell))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        if quads is None:
+            cols = np.unravel_index(np.arange(start, stop), (ell,) * 4)
+        else:
+            cols = np.array(quads[start:stop], dtype=np.int64).reshape(-1, 4).T
+        i, j, u, v = (c[:, None] for c in cols)
+        lhs = (t[(w - u) % ell, (i - u) % ell]
+               * t[(w - v) % ell, (j - v) % ell]).sum(axis=1)
+        rhs = k * (delta(i, j) * delta(u, v) - delta(i, u) * delta(j, v)) \
+            + (t[(w - v) % ell, (u - v) % ell]
+               * t[(w - j) % ell, (i - j) % ell]).sum(axis=1)
+        bad = np.flatnonzero(lhs != rhs)
+        if bad.size:
+            x = int(bad[0])
+            count = start + x + 1
+            fail = dict(zip("ijuv", (int(c[x]) for c in cols)),
+                        lhs=int(lhs[x]), rhs=int(rhs[x]))
             break
     res.add("inner_product_identity", fail is None,
             params={"mode": mode, "quadruples": count, "seed": seed},
@@ -410,48 +433,31 @@ def verify_column_products(ctx):
       sum_w (w,i)(w,j) = sum_w (w,i+q')(w,j+q')       outside (0,0),(q',q').
     """
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    t = ctx.table
+    t = np.array(ctx.table, dtype=_law_dtype(ctx))
+    r = np.arange(ell)
+    gram = np.matmul(t.T, t)                  # gram[i, j] = sum_w (w,i)(w,j)
+    # first[i, j] = sum_w (w,0)(w-j,i-j)
+    first = (t[:, 0] * t[(r[None, None] - r[None, :, None]) % ell,
+                         ((r[:, None] - r[None]) % ell)[:, :, None]]).sum(axis=2)
 
-    def colprod(i, j):
-        return sum(t[w][i % ell] * t[w][j % ell] for w in range(ell))
+    def first_pair(mask):
+        hit = np.argwhere(mask)
+        return {"i": int(hit[0, 0]), "j": int(hit[0, 1])} if len(hit) else None
 
     res = VerifySuiteResult()
-
-    bad = next((i for i in range(1, ell)
-                if colprod(i, i) != k + sum(t[w][0] * t[(w - i) % ell][0]
-                                            for w in range(ell))), None)
-    res.add("column_square_sums", bad is None,
-            detail=None if bad is None else {"i": bad})
-
-    fail = None
-    for i in range(ell):
-        for j in range(ell):
-            if i == j:
-                continue
-            want = sum(t[w][0] * t[(w - j) % ell][(i - j) % ell]
-                       for w in range(ell))
-            if colprod(i, j) != want:
-                fail = {"i": i, "j": j}
-                break
-        if fail:
-            break
+    bad = np.flatnonzero(np.diagonal(gram - first)[1:] != k)
+    res.add("column_square_sums", bad.size == 0,
+            detail={"i": int(bad[0]) + 1} if bad.size else None)
+    fail = first_pair((gram != first) & (r[:, None] != r[None]))
     res.add("distinct_column_products", fail is None, detail=fail)
 
     if k % 2 == 1:
-        ok = colprod(qp, qp) == k + colprod(0, 0)
-        res.add("half_shift_square_sum", ok,
-                detail={"computed": colprod(qp, qp),
-                        "expected": k + colprod(0, 0)})
-        fail = None
-        for i in range(ell):
-            for j in range(ell):
-                if (i, j) in ((0, 0), (qp, qp)):
-                    continue
-                if colprod(i, j) != colprod((i + qp) % ell, (j + qp) % ell):
-                    fail = {"i": i, "j": j}
-                    break
-            if fail:
-                break
+        computed, expected = int(gram[qp, qp]), k + int(gram[0, 0])
+        res.add("half_shift_square_sum", computed == expected,
+                detail={"computed": computed, "expected": expected})
+        mask = gram != gram[np.ix_((r + qp) % ell, (r + qp) % ell)]
+        mask[0, 0] = mask[qp, qp] = False
+        fail = first_pair(mask)
         res.add("half_shift_pair_products", fail is None, detail=fail)
     else:
         res.add("half_shift_square_sum", True, skipped=True,
@@ -479,22 +485,32 @@ def column_permutation_survey(ctx):
     return out
 
 
-def run_identity_suite(ctx, seed=0, include_convolution=True):
-    """Every identity verifier on one context, merged into a single ledger."""
-    res = VerifySuiteResult()
-    res.merge(verify_elementary_laws(ctx))
-    if include_convolution and ctx.q <= MAX_CONVOLUTION_Q:
-        res.merge(verify_structure_constants(ctx))
-    else:
-        res.add("structure_constants", True, skipped=True,
-                detail={"note": "group-ring convolution skipped at q=%d"
-                        % ctx.q})
-    res.merge(verify_regular_representation(ctx))
-    res.merge(verify_matrix_product_law(ctx))
-    res.merge(verify_transposed_product_law(ctx))
-    res.merge(verify_commutator(ctx))
-    res.merge(verify_traces(ctx))
-    res.merge(verify_sum_of_squares(ctx))
-    res.merge(verify_inner_product_identity(ctx, seed=seed))
-    res.merge(verify_column_products(ctx))
+SUITES = ("schur", "identities", "all")
+
+
+def run_identity_suite(ctx, seed=0, include_convolution=True, suite="all"):
+    """One suite's verifiers on one context, merged into a single ledger
+    after the elementary laws.  "all" records the group-ring convolution as
+    skipped when it is off or past its guards; "schur" runs it, raising
+    ContextTooLarge past them."""
+    if suite not in SUITES:
+        raise ValueError("unknown suite %r" % (suite,))
+    res = verify_elementary_laws(ctx)
+    if suite != "identities":
+        if suite == "schur" or (include_convolution
+                                and _convolution_refusal(ctx) is None):
+            res.merge(verify_structure_constants(ctx))
+        else:
+            res.add("structure_constants", True, skipped=True,
+                    detail={"note": "group-ring convolution skipped at q=%d"
+                            % ctx.q})
+        res.merge(verify_regular_representation(ctx))
+    if suite != "schur":
+        res.merge(verify_matrix_product_law(ctx))
+        res.merge(verify_transposed_product_law(ctx))
+        res.merge(verify_commutator(ctx))
+        res.merge(verify_traces(ctx))
+        res.merge(verify_sum_of_squares(ctx))
+        res.merge(verify_inner_product_identity(ctx, seed=seed))
+        res.merge(verify_column_products(ctx))
     return res

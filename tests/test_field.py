@@ -20,7 +20,7 @@ from cyclomat import (
     is_irreducible,
     is_prime,
 )
-from cyclomat.field import CONWAY_POLYNOMIALS
+from cyclomat.field import CONWAY_POLYNOMIALS, FieldCtx
 
 
 def test_is_prime_small():
@@ -225,3 +225,34 @@ def test_int64_table_bound_guard():
         build_field(3, 40)  # 3^40 > 2^63
     with pytest.raises(ContextTooLarge):
         build_field(3, 10 ** 12)  # refused without evaluating 3^(10^12)
+
+
+# Default generators of 20 fields as chosen by the scan over every index
+# from 2; starting an extension field's scan at p must not move any of them.
+DEFAULT_GENERATORS = {
+    (3, 1): 2, (5, 1): 2, (7, 1): 3, (73, 1): 5, (131, 1): 2, (10007, 1): 5,
+    (100801, 1): 11, (9999991, 1): 22, (3, 2): 3, (3, 4): 3, (3, 5): 3,
+    (3, 10): 34, (5, 3): 5, (5, 6): 5, (7, 3): 7, (7, 7): 14, (11, 2): 11,
+    (13, 3): 15, (29, 3): 30, (1009, 2): 1018,
+}
+
+
+def test_default_generators_unchanged():
+    for (p, n), g in DEFAULT_GENERATORS.items():
+        assert build_field(p, n).generator_index == g, (p, n)
+
+
+def test_generator_scan_skips_prime_subfield(monkeypatch):
+    tested = []
+    order_test = FieldCtx._has_full_order
+
+    def record(self, idx):
+        tested.append(idx)
+        return order_test(self, idx)
+
+    monkeypatch.setattr(FieldCtx, "_has_full_order", record)
+    assert build_field(1009, 2).generator_index == 1018
+    assert tested == list(range(1009, 1019))
+    tested.clear()
+    assert build_field(131).generator_index == 2
+    assert tested == [2]

@@ -205,6 +205,19 @@ def test_cli_usage_errors():
     assert code == 1 and "InvalidJobs" in err and out == ""
 
 
+def test_cli_internal_error_exits_2(monkeypatch):
+    import cyclomat.cli
+    from cyclomat import InternalError
+
+    def broken(*args, **kwargs):
+        raise InternalError("dlog table is not a bijection")
+
+    monkeypatch.setattr(cyclomat.cli, "build_field", broken)
+    code, out, err = run_cli("verify", "--p", "7", "--ell", "2")
+    assert code == 2 and out == ""
+    assert err == "cyclo: error: InternalError: dlog table is not a bijection\n"
+
+
 def test_cli_determinism_byte_identical():
     for argv in (("diffset", "--p", "73", "--ell", "8"),
                  ("verify", "--p", "131", "--ell", "10", "--suite", "all"),

@@ -298,3 +298,42 @@ def test_identity_suite_random_contexts(cyclo):
         ctx = CycloCtx(build_field(p, n), ell)
         res = run_identity_suite(ctx, seed=rng.randrange(1000))
         assert res.passed, (p, n, ell, [c.name for c in res.failures()])
+
+
+_ELEMENTARY = ["transpose_shift_symmetry", "inversion_symmetry", "row_sums",
+               "column_sums", "even_k_transpose_symmetry"]
+_SCHUR = ["structure_constants", "regular_representation_product"]
+_IDENTITIES = ["shifted_product_law", "transposed_product_law",
+               "commutator_law", "near_normality", "trace_of_shifts",
+               "trace_of_products", "trace_of_square", "trace_of_cube",
+               "sum_of_squares", "inner_product_identity",
+               "column_square_sums", "distinct_column_products",
+               "half_shift_square_sum", "half_shift_pair_products"]
+
+
+def test_suite_check_order(cyclo):
+    # the ledger order each suite emitted when the cli kept its own suite list
+    want = {"schur": _ELEMENTARY + _SCHUR,
+            "identities": _ELEMENTARY + _IDENTITIES,
+            "all": _ELEMENTARY + _SCHUR + _IDENTITIES}
+    for spec in ((131, 1, 10), (13, 1, 2)):
+        ctx = cyclo(*spec)
+        for suite, names in want.items():
+            res = run_identity_suite(ctx, seed=1, suite=suite)
+            assert [c.name for c in res.checks] == names, (spec, suite)
+    with pytest.raises(ValueError):
+        run_identity_suite(cyclo(7, 1, 2), suite="nonsense")
+
+
+def test_suite_convolution_guard():
+    from cyclomat import CycloCtx
+
+    ctx = CycloCtx(build_field(100801), 4)
+    res = run_identity_suite(ctx, suite="all")
+    conv = res.checks[len(_ELEMENTARY)]
+    assert conv.name == "structure_constants" and conv.skipped and conv.ok
+    assert conv.detail == {"note": "group-ring convolution skipped at q=100801"}
+    assert [c.name for c in run_identity_suite(ctx, suite="identities")
+            .checks] == _ELEMENTARY + _IDENTITIES
+    with pytest.raises(ContextTooLarge):
+        run_identity_suite(ctx, suite="schur")
