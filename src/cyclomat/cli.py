@@ -21,12 +21,13 @@ import sys
 from . import __version__
 from .cyclotomy import CycloCtx, build_matrices
 from .diffset import (
+    SEARCH_MAX_Q,
     as_odd_prime_power,
     build_report,
     iter_search,
     modified_diffset,
 )
-from .errors import CyclomatError, InternalError, KEven
+from .errors import CyclomatError, InternalError, KEven, RangeTooLarge
 from .field import build_field
 from .report import dumps, matrix_pretty, matrix_to_csv, matrix_to_obj
 from .schur import SUITES, column_permutation_survey, run_identity_suite
@@ -175,6 +176,8 @@ def _cmd_search(args, out):
 def _cmd_survey(args, out):
     if (args.p is None) == (args.max_q is None):
         raise _UsageError("survey needs exactly one of --p or --max-q")
+    if args.max_q is not None and args.max_q > SEARCH_MAX_Q:
+        raise RangeTooLarge("survey bounded at q <= %d" % SEARCH_MAX_Q)
     if args.p is not None:
         field = build_field(args.p, n=args.n,
                             modulus=_parse_modulus(args.modulus),

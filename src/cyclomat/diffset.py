@@ -185,18 +185,27 @@ def _require_hit(ctx):
     return (ctx.k - 1) // ctx.ell
 
 
+def _hit_inputs(ctx, hit):
+    """(lambda, DerivedMatrices) of a hit: ``hit`` itself when build_report
+    passes the pair it built once, else after Lehmer's criterion."""
+    return hit if hit is not None else (_require_hit(ctx), build_matrices(ctx))
+
+
 # ----------------------------------------------------------------------
 # certificates (difference set confirmed)
+#
+# Each takes the context and, optionally, the (lambda, DerivedMatrices)
+# pair of a confirmed hit; called with the context alone it checks the hit
+# itself and raises NotADifferenceSet off one.
 # ----------------------------------------------------------------------
 
-def verify_gram_identities(ctx):
+def verify_gram_identities(ctx, hit=None):
     """Exact Gram closed forms on a hit:
     A^T A = lambda k J + (k - lambda) I - k E_{0,0},
     B^T B = (k - lambda)(lambda J + I), and the first-row deviation sum
     sum_{j>=1} ((0,j) - lambda)^2 = k - 2 lambda."""
-    lam = _require_hit(ctx)
+    lam, dm = _hit_inputs(ctx, hit)
     ell, k = ctx.ell, ctx.k
-    dm = build_matrices(ctx)
     res = VerifySuiteResult()
 
     want = (lam * k) * IntMatrix.ones(ell) + (k - lam) * IntMatrix.identity(ell) \
@@ -224,7 +233,7 @@ def _spectrum_matches(roots, predicted, tol):
             and all(abs(a - b) <= tol for a, b in zip(got, want)))
 
 
-def verify_spectral(ctx):
+def verify_spectral(ctx, hit=None):
     """Annihilating polynomials, traces, and numeric spectra of the
     symmetrized matrices M and S on a hit.
 
@@ -234,10 +243,9 @@ def verify_spectral(ctx):
     spectra come from Sturm root isolation on the exact characteristic
     polynomials, compared at tolerance 1e-9 for display.
     """
-    lam = _require_hit(ctx)
+    lam, dm = _hit_inputs(ctx, hit)
     ell, k = ctx.ell, ctx.k
     n = k - lam
-    dm = build_matrices(ctx)
     res = VerifySuiteResult()
 
     ann_m = IntPoly([lam, -k, 1]) * IntPoly([-n, 0, 1])
@@ -275,13 +283,12 @@ def verify_spectral(ctx):
     return res
 
 
-def verify_determinants(ctx):
+def verify_determinants(ctx, hit=None):
     """det(A) = -lambda (k-lambda)^(ell/2 - 1) and
     det(B) = (-1)^(ell/2 - 1) (k-lambda)^(ell/2), checked exactly."""
-    lam = _require_hit(ctx)
+    lam, dm = _hit_inputs(ctx, hit)
     ell, k = ctx.ell, ctx.k
     n = k - lam
-    dm = build_matrices(ctx)
     res = VerifySuiteResult()
     pred_a = -lam * n ** (ell // 2 - 1)
     pred_b = (-1) ** (ell // 2 - 1) * n ** (ell // 2)
@@ -294,10 +301,10 @@ def verify_determinants(ctx):
     return res
 
 
-def verify_congruences(ctx):
+def verify_congruences(ctx, hit=None):
     """Residue classifications of lambda, k, q, and ell on a hit; clauses
     that do not apply to the context are reported as skipped."""
-    lam = _require_hit(ctx)
+    lam = _require_hit(ctx) if hit is None else hit[0]
     ell, k, q = ctx.ell, ctx.k, ctx.q
     t = ctx.table
     res = VerifySuiteResult()
@@ -367,10 +374,10 @@ def _geometric_exponent(lam, ell):
     return e if s == lam else None
 
 
-def check_schoenberg_condition(ctx):
+def check_schoenberg_condition(ctx, hit=None):
     """Simplex-embedding constraints on ell when q - k is a perfect square,
     plus the geometric-lambda and lambda = 1 specializations."""
-    lam = _require_hit(ctx)
+    lam = _require_hit(ctx) if hit is None else hit[0]
     ell, k, q = ctx.ell, ctx.k, ctx.q
     m = q - k
     root = math.isqrt(m)
@@ -577,14 +584,16 @@ def build_report(ctx, literal_oracle=False):
     if bf:
         if lam != lam_bf:
             raise InternalError("lambda mismatch between routes")
-        certs.merge(verify_gram_identities(ctx))
-        spec = verify_spectral(ctx)
+        # the detectors confirmed the hit: build its inputs once for all five
+        hit = (lam, build_matrices(ctx))
+        certs.merge(verify_gram_identities(ctx, hit))
+        spec = verify_spectral(ctx, hit)
         certs.merge(spec)
-        dets = verify_determinants(ctx)
+        dets = verify_determinants(ctx, hit)
         certs.merge(dets)
-        congruences = verify_congruences(ctx)
+        congruences = verify_congruences(ctx, hit)
         certs.merge(congruences)
-        schoenberg = check_schoenberg_condition(ctx)
+        schoenberg = check_schoenberg_condition(ctx, hit)
         certs.merge(schoenberg)
         congruences_pass = congruences.passed
         schoenberg_pass = schoenberg.passed
@@ -612,11 +621,22 @@ def as_odd_prime_power(q):
     if is_prime(q):
         return (q, 1)
     for n in range(2, q.bit_length() + 1):
-        p = round(q ** (1.0 / n))
-        for cand in (p - 1, p, p + 1):
-            if cand >= 3 and cand ** n == q and is_prime(cand):
-                return (cand, n)
+        p = _integer_root(q, n)
+        if p < 3:
+            return None
+        if p ** n == q and is_prime(p):
+            return (p, n)
     return None
+
+
+def _integer_root(q, n):
+    """floor(q^(1/n)) for q >= 1, by Newton's method on ints from above."""
+    x = 1 << -(-q.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + q // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def _context_for(q, p, n, ell):

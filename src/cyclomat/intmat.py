@@ -6,13 +6,16 @@ Faddeev-LeVerrier characteristic polynomial) rely on that.  Matrices in this
 package are small dense squares (orders up to a few dozen), so the simple
 cubic/quartic algorithms are the right tool.
 
-Floating point appears in exactly one place: IntPoly.real_roots refines
-Sturm-isolated roots of an exact polynomial to a requested tolerance, for
-display next to exact certificates.
+Floating point appears in exactly one place: IntPoly.real_roots isolates
+the roots of an exact polynomial with Sturm chains and bisects them on ints
+(every endpoint an integer numerator over lead * 2^j) to a requested
+tolerance, and only the final int / int division, correctly rounded, makes
+a float for display next to exact certificates.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalError
@@ -362,27 +365,29 @@ class IntPoly:
     def squarefree_decomposition(self):
         """Yun decomposition: list of (factor, multiplicity) with each factor
         a primitive squarefree IntPoly of positive degree and positive lead.
+
+        Gcds come from primitive pseudo-remainder sequences and each quotient
+        is an exact division by a primitive divisor (integral by Gauss's
+        lemma); b and d share every divisor, so Yun's recurrence holds up to
+        one common scalar and the normalized factors are those over Q.
         """
         if self.degree < 1:
             return []
-        f = _fr(self.coeffs)
-        df = _fr_derivative(f)
-        g = _fr_gcd(f, df)
+        f = list(self.coeffs)
+        df = _derivative(f)
+        g = _gcd(f, df)
+        if len(g) == 1:
+            return [(_normalized(f), 1)]
+        b = _div_exact(f, g)
+        d = _sub(_div_exact(df, g), _derivative(b))
         out = []
-        if _fr_degree(g) == 0:
-            out.append((_fr_to_primitive_intpoly(f), 1))
-            return out
-        b = _fr_div_exact(f, g)
-        c = _fr_div_exact(df, g)
-        d = _fr_sub(c, _fr_derivative(b))
         i = 1
-        while _fr_degree(b) > 0:
-            a = _fr_gcd(b, d)
-            if _fr_degree(a) > 0:
-                out.append((_fr_to_primitive_intpoly(a), i))
-            b = _fr_div_exact(b, a)
-            c = _fr_div_exact(d, a)
-            d = _fr_sub(c, _fr_derivative(b))
+        while len(b) > 1:
+            a = _gcd(b, d)
+            if len(a) > 1:
+                out.append((_normalized(a), i))
+            b = _div_exact(b, a)
+            d = _sub(_div_exact(d, a), _derivative(b))
             i += 1
         return out
 
@@ -391,184 +396,178 @@ class IntPoly:
         by root value.
 
         Roots are isolated with Sturm sequences on the squarefree factors
-        (exact rational arithmetic throughout) and then bisected until the
-        bracketing interval is narrower than tol; rational roots hit exactly
-        by a bisection midpoint are returned exactly.
+        and then bisected until the bracketing interval is narrower than tol;
+        rational roots hit exactly by a bisection midpoint are returned
+        exactly.  Endpoints are exact (int numerator over lead * 2^j).
         """
+        tol = Fraction(tol).limit_denominator(10 ** 18)
         out = []
         for factor, mult in self.squarefree_decomposition():
-            for r in _squarefree_real_roots(factor, tol):
+            for r in _squarefree_real_roots(factor, tol.numerator,
+                                            tol.denominator):
                 out.append((r, mult))
         out.sort(key=lambda t: t[0])
         return out
 
 
 # ----------------------------------------------------------------------
-# rational polynomial helpers (internal; coefficient lists low-to-high)
+# integer polynomial helpers (internal; coefficient lists low-to-high)
 # ----------------------------------------------------------------------
 
-def _fr(coeffs):
-    c = [Fraction(v) for v in coeffs]
+def _trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _fr_degree(c):
-    return len(c) - 1
-
-
-def _fr_sub(a, b):
+def _sub(a, b):
     n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-           for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                  for i in range(n)])
 
 
-def _fr_derivative(c):
+def _derivative(c):
     return [i * c[i] for i in range(1, len(c))]
 
 
-def _fr_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        f = a[-1] * inv
+def _content_free(c):
+    """c divided by the gcd of its coefficients (a positive constant)."""
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
+
+
+def _normalized(c):
+    """The primitive IntPoly with positive lead that is a multiple of c."""
+    c = _content_free(c)
+    return IntPoly([-v for v in c] if c[-1] < 0 else c)
+
+
+def _prem(a, b):
+    """A positive multiple of the remainder of a modulo b: each step scales
+    a by |lead(b)| / g, g = gcd(lead(a), lead(b)), and cancels its lead."""
+    a = list(a)
+    lb = b[-1]
+    while len(a) >= len(b):
+        la = a[-1]
+        g = math.gcd(la, lb)
+        m, f = abs(lb) // g, (la // g if lb > 0 else -la // g)
+        k = len(a) - len(b)
+        a = [m * v for v in a]
+        for i, v in enumerate(b):
+            a[k + i] -= f * v
+        _trim(a)
+    return a
+
+
+def _div_exact(a, b):
+    """a / b, which must be an integer polynomial with no remainder."""
+    a = list(a)
+    lb = b[-1]
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        f, r = divmod(a[-1], lb)
+        if r:
+            break
         k = len(a) - len(b)
         q[k] = f
-        for i in range(len(b)):
-            a[k + i] -= f * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _fr_div_exact(a, b):
-    q, r = _fr_divmod(a, b)
-    if r:
+        for i, v in enumerate(b):
+            a[k + i] -= f * v
+        _trim(a)
+    if a:
         raise InternalError("expected exact polynomial division")
     return q
 
 
-def _fr_monic(c):
-    if not c:
-        return c
-    inv = 1 / c[-1]
-    return [v * inv for v in c]
-
-
-def _fr_gcd(a, b):
-    a, b = a[:], b[:]
+def _gcd(a, b):
+    """A gcd of a and b (a primitive pseudo-remainder sequence)."""
+    a, b = _content_free(a), _content_free(b)
     while b:
-        _, r = _fr_divmod(a, b)
-        a, b = b, r
-    return _fr_monic(a)
+        a, b = b, _content_free(_prem(a, b))
+    return a
 
 
-def _fr_to_primitive_intpoly(c):
-    """Scale a rational polynomial to a primitive integer one, positive lead."""
-    from math import gcd, lcm
-
-    den = lcm(*(v.denominator for v in c)) if c else 1
-    ints = [int(v * den) for v in c]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return IntPoly(ints)
-
-
-def _fr_eval(c, x):
-    acc = Fraction(0)
+def _value_at(c, n, d):
+    """d^deg(c) * c(n / d), an int with the sign of c(n / d) when d > 0
+    (homogeneous Horner)."""
+    acc = 0
+    dk = 1
     for v in reversed(c):
-        acc = acc * x + v
+        acc = acc * n + v * dk
+        dk *= d
     return acc
 
 
 def _sturm_chain(c):
-    chain = [c[:], _fr_derivative(c)]
-    while chain[-1]:
-        _, r = _fr_divmod(chain[-2], chain[-1])
+    # each member is a positive multiple of the rational Sturm sequence's,
+    # so every sign, and every variation count, is the same
+    chain = [c, _derivative(c)]
+    while True:
+        r = _content_free(_prem(chain[-2], chain[-1]))
         if not r:
-            break
+            return chain
         chain.append([-v for v in r])
-    return [s for s in chain if s]
 
 
-def _sign_variations(chain, x):
-    signs = []
-    for s in chain:
-        v = _fr_eval(s, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(chain, n, d):
+    signs = [v > 0 for v in (_value_at(s, n, d) for s in chain) if v]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def _squarefree_real_roots(poly, tol):
-    c = _fr(poly.coeffs)
-    if _fr_degree(c) < 1:
-        return []
-    if _fr_degree(c) == 1:
-        r = -c[0] / c[1]
-        return [float(r)]
+def _squarefree_real_roots(poly, tol_num, tol_den):
+    # poly is a squarefree_decomposition factor (positive degree and lead);
+    # an interval (a, b, d) stands for (a/d, b/d] with d = lead * 2^j > 0
+    c = list(poly.coeffs)
+    if len(c) == 2:
+        return [-c[0] / c[1]]
     chain = _sturm_chain(c)
-    lead = abs(c[-1])
-    bound = 2 + sum(abs(v) for v in c[:-1]) / lead
-    tol_fr = Fraction(tol).limit_denominator(10 ** 18)
 
-    def count(a, b):
-        # number of roots in the half-open interval (a, b]
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
+    def count(a, b, d):
+        # number of roots in the half-open interval (a/d, b/d]
+        return _sign_variations(chain, a, d) - _sign_variations(chain, b, d)
 
+    bound = 2 * c[-1] + sum(abs(v) for v in c[:-1])
     roots = []
-    stack = [(-bound, bound)]
+    stack = [(-bound, bound, c[-1])]
     while stack:
-        a, b = stack.pop()
-        n = count(a, b)
+        a, b, d = stack.pop()
+        n = count(a, b, d)
         if n == 0:
             continue
         if n == 1:
-            roots.append(_bisect_root(c, a, b, tol_fr))
+            roots.append(_bisect_root(c, a, b, d, tol_num, tol_den))
             continue
-        mid = (a + b) / 2
-        if _fr_eval(c, mid) == 0:
-            roots.append(float(mid))
-            # shrink around the midpoint so the halves have clean endpoints
-            delta = (b - a) / 4
-            while (_fr_eval(c, mid - delta) == 0 or _fr_eval(c, mid + delta) == 0
-                   or count(mid - delta, mid + delta) != 1):
-                delta /= 2
-            stack.append((a, mid - delta))
-            stack.append((mid + delta, b))
+        if _value_at(c, a + b, 2 * d) == 0:
+            roots.append((a + b) / (2 * d))
+            # shrink around the midpoint so the halves have clean endpoints:
+            # in units of 1/d, mid = m and delta = (old b - old a) / 4 / 2^j
+            m, a, b, d, delta = 2 * (a + b), 4 * a, 4 * b, 4 * d, b - a
+            while (_value_at(c, m - delta, d) == 0
+                   or _value_at(c, m + delta, d) == 0
+                   or count(m - delta, m + delta, d) != 1):
+                m, a, b, d = 2 * m, 2 * a, 2 * b, 2 * d
+            stack.append((a, m - delta, d))
+            stack.append((m + delta, b, d))
         else:
-            stack.append((a, mid))
-            stack.append((mid, b))
+            stack.append((2 * a, a + b, 2 * d))
+            stack.append((a + b, 2 * b, 2 * d))
     return roots
 
 
-def _bisect_root(c, a, b, tol_fr):
-    # interval (a, b] holds exactly one simple root; endpoints are not roots
-    fa = _fr_eval(c, a)
-    fb = _fr_eval(c, b)
+def _bisect_root(c, a, b, d, tol_num, tol_den):
+    # (a/d, b/d] holds exactly one simple root; endpoints are not roots
+    fa = _value_at(c, a, d)
+    fb = _value_at(c, b, d)
     if fb == 0:
-        return float(b)
+        return b / d
     if (fa > 0) == (fb > 0):
         raise InternalError("bracketing interval must change sign")
-    while b - a > tol_fr:
-        mid = (a + b) / 2
-        fm = _fr_eval(c, mid)
+    while (b - a) * tol_den > tol_num * d:
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        fm = _value_at(c, m, d)
         if fm == 0:
-            return float(mid)
+            return m / d
         if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
+            a, fa = m, fm
         else:
-            b = mid
-    return float((a + b) / 2)
+            b = m
+    return (a + b) / (2 * d)

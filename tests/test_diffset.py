@@ -390,3 +390,36 @@ def test_as_odd_prime_power():
     assert as_odd_prime_power(15) is None
     assert as_odd_prime_power(16) is None
     assert as_odd_prime_power(13) == (13, 1)
+    # 3**700 overflows a float; the n-th root is taken on ints
+    assert as_odd_prime_power(3 ** 700) == (3, 700)
+    assert as_odd_prime_power(10007 ** 40) == (10007, 40)
+    assert as_odd_prime_power(5 * 3 ** 700) is None
+    assert as_odd_prime_power(10009 * 10007 ** 39) is None
+    for q in range(1, 3000):
+        for n in (2, 3, 5, 11):
+            r = diffset._integer_root(q, n)
+            assert r ** n <= q < (r + 1) ** n
+
+
+def test_build_report_builds_hit_inputs_once(cyclo, monkeypatch):
+    ctx = cyclo(73, 1, 8)
+    standalone = [op(ctx).to_obj() for op in (
+        verify_gram_identities, verify_spectral, verify_determinants,
+        verify_congruences, check_schoenberg_condition)]
+    calls = {"matrices": 0, "lehmer": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(diffset, "build_matrices",
+                        counted("matrices", diffset.build_matrices))
+    monkeypatch.setattr(diffset, "is_diffset_lehmer",
+                        counted("lehmer", diffset.is_diffset_lehmer))
+    rep = build_report(ctx)
+    assert calls == {"matrices": 1, "lehmer": 1}
+    assert rep.certificates.to_obj() == [c for led in standalone for c in led]
+    build_report(cyclo(131, 1, 10))
+    assert calls == {"matrices": 1, "lehmer": 2}

@@ -205,6 +205,21 @@ def test_cli_usage_errors():
     assert code == 1 and "InvalidJobs" in err and out == ""
 
 
+def test_cli_survey_range_bound(monkeypatch):
+    import cyclomat.cli
+    from cyclomat.diffset import SEARCH_MAX_Q
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("survey built a field past its range bound")
+
+    monkeypatch.setattr(cyclomat.cli, "build_field", no_field)
+    for max_q in (SEARCH_MAX_Q + 1, 100000000000):
+        code, out, err = run_cli("survey", "--ell", "4", "--max-q", str(max_q))
+        assert code == 1 and out == ""
+        assert err == ("cyclo: error: RangeTooLarge: survey bounded at "
+                       "q <= %d\n" % SEARCH_MAX_Q)
+
+
 def test_cli_internal_error_exits_2(monkeypatch):
     import cyclomat.cli
     from cyclomat import InternalError
