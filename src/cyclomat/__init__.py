@@ -54,9 +54,7 @@ from .cyclotomy import (
     verify_elementary_laws,
 )
 from .schur import (
-    GroupRingElem,
     RegularRep,
-    class_sum,
     column_permutation_survey,
     regular_rep,
     run_identity_suite,

@@ -27,7 +27,7 @@ from .diffset import (
     iter_search,
     modified_diffset,
 )
-from .errors import CyclomatError, InternalError, KEven, RangeTooLarge
+from .errors import CyclomatError, InternalError, RangeTooLarge
 from .field import build_field
 from .report import dumps, matrix_pretty, matrix_to_csv, matrix_to_obj
 from .schur import SUITES, column_permutation_survey, run_identity_suite
@@ -179,26 +179,19 @@ def _cmd_survey(args, out):
     if args.max_q is not None and args.max_q > SEARCH_MAX_Q:
         raise RangeTooLarge("survey bounded at q <= %d" % SEARCH_MAX_Q)
     if args.p is not None:
-        field = build_field(args.p, n=args.n,
-                            modulus=_parse_modulus(args.modulus),
-                            generator=args.generator)
-        ctx = CycloCtx(field, args.ell)
+        ctx = _make_ctx(args)
         entries = column_permutation_survey(ctx)
         out.write(dumps({"meta": _meta(ctx), "entries": entries}) + "\n")
         return EXIT_OK
     for q in range(3, args.max_q + 1):
-        if q % args.ell != 1:
+        # the survey needs k = (q - 1) / ell odd, known before any build
+        if q % args.ell != 1 or (q - 1) // args.ell % 2 == 0:
             continue
         pn = as_odd_prime_power(q)
         if pn is None:
             continue
         ctx = CycloCtx(build_field(pn[0], n=pn[1]), args.ell)
-        if ctx.k % 2 == 0:
-            continue
-        try:
-            entries = column_permutation_survey(ctx)
-        except KEven:  # pragma: no cover - filtered above
-            continue
+        entries = column_permutation_survey(ctx)
         out.write(dumps({"meta": _meta(ctx), "entries": entries},
                         compact=True) + "\n")
     return EXIT_OK

@@ -3,8 +3,11 @@
 With K the subgroup of ell-th powers in F_q^* and g the field's generator,
 the entry (i, j) counts |(1 + g^i K) ∩ g^j K|.  Indices extend to all of Z
 with period ell.  The full ell x ell table is built in one O(q) pass over
-the field: x + 1 only touches the constant digit of the canonical index, so
-the pass vectorizes uniformly for prime and extension fields.
+the field's classes, reshaped to rows of p canonical indices that share
+their higher digits: x + 1 only touches the constant digit, so the pairs
+(x, x + 1) are the adjacent columns of each row plus the wrap from column
+p - 1 to column 0, less the two pairs that touch index 0.  The pass is
+plain slicing, the same for prime and extension fields.
 
 Derived matrices:
 
@@ -28,21 +31,18 @@ from .field import FieldCtx
 from .intmat import IntMatrix
 from .report import VerifySuiteResult
 
-_CHUNK = 1 << 20
-
 
 def _build_table(field, ell):
     q, p = field.q, field.p
     cls = field.dlog % ell          # class of each nonzero index; cls[0] is junk
-    counts = np.zeros(ell * ell, dtype=np.int64)
-    for start in range(1, q, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)
-        lo = x % p
-        y = np.where(lo < p - 1, x + 1, x - (p - 1))
-        keep = y != 0                # drops exactly x = -1
-        xi = cls[x[keep]]
-        yj = cls[y[keep]]
-        counts += np.bincount(xi * ell + yj, minlength=ell * ell)
+    r = cls.reshape(q // p, p)      # row: one value of the higher digits
+    codes = r[:, :-1] * ell         # x -> x + 1 inside a row
+    codes += r[:, 1:]
+    counts = np.bincount(codes.ravel(), minlength=ell * ell)
+    counts += np.bincount(r[:, -1] * ell + r[:, 0], minlength=ell * ell)
+    # drop the pairs (0, 1) and (-1, 0) that touch index 0
+    counts[cls[0] * ell + cls[1]] -= 1
+    counts[cls[p - 1] * ell + cls[0]] -= 1
     return [[int(counts[i * ell + j]) for j in range(ell)] for i in range(ell)]
 
 

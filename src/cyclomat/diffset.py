@@ -40,7 +40,7 @@ from .errors import (
     NotADifferenceSet,
     RangeTooLarge,
 )
-from .field import build_field, is_prime
+from .field import build_field, is_prime, power_digits
 from .intmat import IntMatrix, IntPoly
 from .report import VerifySuiteResult
 
@@ -63,25 +63,42 @@ def _lambda_if_integral(ctx):
 # detectors
 # ----------------------------------------------------------------------
 
-def _difference_counts_by_class(field, ell):
-    """Representation counts of z = x - y over K x K, one representative z
-    per coset class.  Uses only field arithmetic and coset membership, never
-    the cyclotomic table."""
-    q = field.q
-    if field.n == 1:
-        p = field.p
-        kidx = field.pows[::ell]
-        in_k = np.zeros(q, dtype=bool)
-        in_k[kidx] = True
-        return [int(np.count_nonzero(in_k[(kidx + int(field.pows[i])) % p]))
-                for i in range(ell)]
-    add = field.add_idx
-    kset = set(int(v) for v in field.coset_indices(0, ell))
-    counts = []
-    for i in range(ell):
-        z = int(field.pows[i])
-        counts.append(sum(1 for y in kset if add(y, z) in kset))
+def _difference_counts_by_class(field, ell, with_zero=False):
+    """Representation counts of z = x - y over K x K (over K_0 x K_0 with
+    with_zero), one representative z = g^i per class i < ell.
+
+    Uses only field addition and membership in K, never the dlog or the
+    cyclotomic table: K = <g^ell> comes from the doubling kernel as digit
+    vectors, the digits of z are added mod p, and the sums are re-encoded
+    and looked up in a boolean membership array.  The prime field is the
+    case n = 1."""
+    p, q, g = field.p, field.q, field.generator_index
+    digits = power_digits(field, field.pow_idx(g, ell), (q - 1) // ell)
+    if with_zero:
+        digits = np.concatenate([digits, np.zeros((field.n, 1), np.int64)],
+                                axis=1)
+    member = np.zeros(q, dtype=bool)
+    member[field.encode_array(digits)] = True
+    counts, z = [], 1
+    for _ in range(ell):
+        shifted = digits + np.array(field.decode(z), dtype=np.int64)[:, None]
+        np.subtract(shifted, p, out=shifted, where=shifted >= p)
+        inside = member[field.encode_array(shifted)]
+        counts.append(int(np.count_nonzero(inside)))
+        z = field.mul_idx(z, g)
     return counts
+
+
+def lehmer_screen(field, ell):
+    """Lehmer's verdict on K alone, for ell >= 2 dividing q - 1: the counts
+    of K when they are constant and k > 1 (a hit), else None.
+
+    Exact integer counts from the one count route; no power, dlog or
+    cyclotomic table is built."""
+    if (field.q - 1) // ell == 1:
+        return None
+    counts = _difference_counts_by_class(field, ell)
+    return counts if len(set(counts)) == 1 else None
 
 
 def _difference_counts_literal(field, ell):
@@ -96,12 +113,13 @@ def _difference_counts_literal(field, ell):
     return counts
 
 
-def is_diffset_bruteforce(ctx, literal=False):
+def is_diffset_bruteforce(ctx, literal=False, counts=None):
     """(verdict, lambda): counts differences in the field itself.
 
     With literal=True every ordered pair of K x K is enumerated (guarded at
     q <= 2000); otherwise one representative per class is counted, which the
-    class-invariance of the count makes equivalent.
+    class-invariance of the count makes equivalent.  ``counts`` passes the
+    class counts lehmer_screen already took for this field and ell.
     """
     _require_ell(ctx)
     field, ell, k = ctx.field, ctx.ell, ctx.k
@@ -119,7 +137,9 @@ def is_diffset_bruteforce(ctx, literal=False):
         if ctx.q > BRUTEFORCE_MAX_Q:
             raise ContextTooLarge("difference counting guarded at q <= %d"
                                   % BRUTEFORCE_MAX_Q)
-        values = set(_difference_counts_by_class(field, ell))
+        if counts is None:
+            counts = _difference_counts_by_class(field, ell)
+        values = set(counts)
     if len(values) != 1:
         return False, None
     lam = values.pop()
@@ -496,28 +516,6 @@ class ModifiedDiffSetReport:
         }
 
 
-def _modified_counts_by_class(field, ell):
-    """Representation counts of z = x - y over K_0 x K_0, one representative
-    per class, by direct field arithmetic."""
-    q = field.q
-    if field.n == 1:
-        p = field.p
-        kidx = field.pows[::ell]
-        k0 = np.concatenate([kidx, np.zeros(1, dtype=np.int64)])
-        in_k0 = np.zeros(q, dtype=bool)
-        in_k0[k0] = True
-        return [int(np.count_nonzero(in_k0[(k0 + int(field.pows[i])) % p]))
-                for i in range(ell)]
-    add = field.add_idx
-    k0 = set(int(v) for v in field.coset_indices(0, ell))
-    k0.add(0)
-    counts = []
-    for i in range(ell):
-        z = int(field.pows[i])
-        counts.append(sum(1 for y in k0 if add(y, z) in k0))
-    return counts
-
-
 def modified_diffset(ctx):
     """Decide whether K_0 = K ∪ {0} is a difference set, cross-checking the
     cyclotomic criterion against direct counting, and verify the modified
@@ -530,7 +528,7 @@ def modified_diffset(ctx):
     crit_counts = [t[i][0] + (1 if i == 0 else 0) + (1 if i == qp else 0)
                    for i in range(ell)]
     crit = len(set(crit_counts)) == 1
-    bf_counts = _modified_counts_by_class(field, ell)
+    bf_counts = _difference_counts_by_class(field, ell, with_zero=True)
     bf = len(set(bf_counts)) == 1
     if bf_counts != crit_counts:
         raise InternalError("modified counts disagree with the table; build bug")
@@ -562,10 +560,12 @@ def modified_diffset(ctx):
         certificates=certs)
 
 
-def build_report(ctx, literal_oracle=False):
-    """Run all four detectors and, on a hit, the full certificate battery."""
+def build_report(ctx, literal_oracle=False, counts=None):
+    """Run all four detectors and, on a hit, the full certificate battery.
+    ``counts`` are lehmer_screen's class counts, reused by bruteforce."""
     _require_ell(ctx)
-    bf, lam_bf = is_diffset_bruteforce(ctx, literal=literal_oracle)
+    bf, lam_bf = is_diffset_bruteforce(ctx, literal=literal_oracle,
+                                       counts=counts)
     verdicts = {
         "bruteforce": bf,
         "lehmer": is_diffset_lehmer(ctx),
@@ -639,16 +639,13 @@ def _integer_root(q, n):
         x = y
 
 
-def _context_for(q, p, n, ell):
-    return CycloCtx(build_field(p, n), ell)
-
-
 def _search_one(args):
     q, p, n, ell = args
-    ctx = _context_for(q, p, n, ell)
-    if not is_diffset_lehmer(ctx):
+    field = build_field(p, n)
+    counts = lehmer_screen(field, ell)
+    if counts is None:
         return None
-    return build_report(ctx)
+    return build_report(CycloCtx(field, ell), counts=counts)
 
 
 def passes_prefilter(q, ell):
@@ -671,17 +668,20 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
     """Scan prime powers q in [min_q, max_q] for power difference sets and
     yield each hit's report in increasing q, as soon as it is certified.
 
-    Only q passing the Lehmer prefilter get a field and a table; the cheap
-    first-column detector screens those, and every hit gets the full
-    certificate battery, recording whether q is prime and whether k is a
-    perfect square.  Bad arguments raise here, before any iteration."""
+    Only q passing the Lehmer prefilter get a field, and that field builds
+    no table: lehmer_screen decides Lehmer's criterion on K alone.  Only a
+    hit gets the power/dlog tables, a cyclotomic table and the full report
+    (all four detectors and the certificate battery, recording whether q is
+    prime and whether k is a perfect square).  Bad arguments raise here,
+    before any iteration."""
     if ell < 2:
         raise EllOne("search needs ell >= 2")
     if max_q > SEARCH_MAX_Q:
         raise RangeTooLarge("search bounded at q <= %d" % SEARCH_MAX_Q)
     workers = worker_count(jobs)
     candidates = []
-    for q in range(max(3, min_q), max_q + 1):
+    first = max(3, min_q)
+    for q in range(first + (1 - first) % ell, max_q + 1, ell):  # q = 1 mod ell
         if not passes_prefilter(q, ell):
             continue
         pn = as_odd_prime_power(q)

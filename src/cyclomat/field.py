@@ -3,9 +3,10 @@
 Elements live in the polynomial basis: sum_i c_i * x^i with c_i in [0, p) is
 identified by its canonical index sum_i c_i * p**i, an integer in [0, q).
 All hot paths work on these indices, which makes the power and dlog tables
-plain flat arrays with O(1) addressing.  One kernel builds every power table
-by doubling, since multiplication by g^s is F_p-linear on digit vectors; its
-int64 steps are exact while n (p-1)^2 < 2^63, else ContextTooLarge is raised.
+plain flat arrays with O(1) addressing.  One kernel, ``power_digits``,
+builds the powers of any element by doubling; its int64 steps are exact
+while n (p-1)^2 < 2^63, else ContextTooLarge is raised.  The power and dlog
+tables (its powers of g) are built on first use, within TABLE_BUDGET_BYTES.
 
 The generator is the element of smallest canonical index with full
 multiplicative order, so every table derived from a field is reproducible;
@@ -44,6 +45,10 @@ CONWAY_POLYNOMIALS = {
 }
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Bytes the table build may hold at its peak, 8 (n + 2) q: the kernel's digit
+# array and indices, or pows, dlog and one arange; admits every q <= 10^7.
+TABLE_BUDGET_BYTES = 1 << 30
 
 
 def is_prime(m):
@@ -304,12 +309,13 @@ class FieldElem:
 class FieldCtx:
     """A concrete F_{p^n}: modulus, generator, and power/dlog tables.
 
-    Immutable after construction; all tables are plain int64 arrays safe for
-    shared concurrent reads.
+    Construction resolves the modulus, factors q - 1 and finds the
+    generator.  The int64 power and dlog tables are built once, on first
+    access of ``pows`` or ``dlog``; nothing changes after that.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "generator_index", "pows", "dlog",
-                 "factors_qm1", "_mod_list")
+    __slots__ = ("p", "n", "q", "modulus", "generator_index", "_pows",
+                 "_dlog", "factors_qm1", "_mod_list")
 
     def __init__(self, p, n=1, modulus=None, generator=None, allow_search=True):
         p = int(p)
@@ -331,7 +337,7 @@ class FieldCtx:
         self._mod_list = list(self.modulus)
         self.factors_qm1 = factorize(self.q - 1)
         self.generator_index = self._resolve_generator(generator)
-        self.pows, self.dlog = self._build_tables()
+        self._pows = self._dlog = None
 
     # -- construction helpers ------------------------------------------
 
@@ -377,31 +383,33 @@ class FieldCtx:
         return all(self.pow_idx(idx, m // f) != 1 for f, _ in self.factors_qm1)
 
     def _build_tables(self):
-        # Multiplication by h = g^s is F_p-linear on digit vectors; column i of
-        # its matrix holds the digits of h * x^i, so g^s .. g^(2s-1) are that
-        # matrix times the digits of g^0 .. g^(s-1), mod p.  Entries stay below
-        # n (p-1)^2 and indices below q; __init__ bounds both by 2^63.
-        q, p, n = self.q, self.p, self.n
-        m = q - 1
-        basis = [p ** i for i in range(n)]
-        digits = np.zeros((n, m), dtype=np.int64)
-        digits[0, 0] = 1
-        s, h = 1, self.generator_index
-        while s < m:
-            e = min(s, m - s)
-            mat = np.array([self.decode(self.mul_idx(h, x)) for x in basis],
-                           dtype=np.int64).T
-            np.matmul(mat, digits[:, :e], out=digits[:, s:s + e])
-            np.mod(digits[:, s:s + e], p, out=digits[:, s:s + e])
-            s, h = s + e, self.mul_idx(h, h)
-        pows = np.array(basis, dtype=np.int64) @ digits
-        del digits
+        need = 8 * (self.n + 2) * self.q
+        if need > TABLE_BUDGET_BYTES:
+            raise ContextTooLarge("power/dlog tables of F_%d would take %d "
+                                  "bytes, past the %d-byte budget"
+                                  % (self.q, need, TABLE_BUDGET_BYTES))
+        q, m = self.q, self.q - 1
+        pows = self.encode_array(power_digits(self, self.generator_index, m))
         dlog = np.full(q, -1, dtype=np.int64)
         dlog[pows] = np.arange(m, dtype=np.int64)
         if int(dlog[0]) != -1 or int(np.count_nonzero(dlog < 0)) != 1:
             raise InternalError("dlog table is not a bijection; "
                                 "generator lacks full order")
-        return pows, dlog
+        self._pows, self._dlog = pows, dlog
+
+    @property
+    def pows(self):
+        """Canonical indices of g^0 .. g^(q-2); built on first access."""
+        if self._pows is None:
+            self._build_tables()
+        return self._pows
+
+    @property
+    def dlog(self):
+        """dlog[x] = e with g^e = x for x != 0, and dlog[0] = -1."""
+        if self._dlog is None:
+            self._build_tables()
+        return self._dlog
 
     # -- index arithmetic ----------------------------------------------
 
@@ -420,6 +428,14 @@ class FieldCtx:
         idx = 0
         for c in reversed(list(coeffs)):
             idx = idx * p + (int(c) % p)
+        return idx
+
+    def encode_array(self, digits):
+        """int64 (n, m) digit columns -> their m canonical indices."""
+        idx = digits[-1].copy()
+        for row in digits[-2::-1]:
+            idx *= self.p
+            idx += row
         return idx
 
     def encode_int(self, v):
@@ -509,6 +525,29 @@ class FieldCtx:
             return "FieldCtx(p=%d)" % self.p
         return "FieldCtx(p=%d, n=%d, modulus=%s)" % (self.p, self.n,
                                                      list(self.modulus))
+
+
+def power_digits(field, h, m):
+    """Digit vectors of h^0 .. h^(m-1) in ``field``, an int64 (n, m) array.
+
+    Multiplication by h^s is F_p-linear on digit vectors; column i of its
+    matrix holds the digits of h^s * x^i, so h^s .. h^(2s-1) are that matrix
+    times the digits of h^0 .. h^(s-1), mod p.  Entries stay below
+    n (p-1)^2 and indices below q; FieldCtx bounds both by 2^63.
+    """
+    p, n = field.p, field.n
+    basis = [p ** i for i in range(n)]
+    digits = np.zeros((n, m), dtype=np.int64)
+    digits[0, 0] = 1
+    s = 1
+    while s < m:
+        e = min(s, m - s)
+        mat = np.array([field.decode(field.mul_idx(h, x)) for x in basis],
+                       dtype=np.int64).T
+        np.matmul(mat, digits[:, :e], out=digits[:, s:s + e])
+        np.mod(digits[:, s:s + e], p, out=digits[:, s:s + e])
+        s, h = s + e, field.mul_idx(h, h)
+    return digits
 
 
 def build_field(p, n=1, modulus=None, generator=None, allow_search=True):

@@ -24,7 +24,6 @@ from cyclomat.cli import main as cli_main
 from cyclomat.diffset import (
     _difference_counts_by_class,
     _difference_counts_literal,
-    _modified_counts_by_class,
 )
 
 import reference_data as ref
@@ -182,7 +181,8 @@ def test_criterion_8_oracle_equivalence():
         # modified counting vs the shifted-column criterion
         crit = [ctx.table[i][0] + (1 if i == 0 else 0)
                 + (1 if i == ctx.qprime else 0) for i in range(ell)]
-        ok = ok and _modified_counts_by_class(field, ell) == crit
+        ok = ok and _difference_counts_by_class(field, ell,
+                                                with_zero=True) == crit
     # modified hits at ell = 2 are exactly q = 3 (mod 4)
     for q in range(3, 200, 2):
         from cyclomat import as_odd_prime_power

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import (
     CycloCtx,
@@ -17,6 +18,7 @@ from cyclomat import (
 )
 
 import reference_data as ref
+from conftest import field_of
 
 
 def test_reference_matrices(cyclo):
@@ -184,3 +186,30 @@ def test_cayley_hamilton_on_derived_matrices(cyclo):
         dm = build_matrices(cyclo(p, n, ell))
         for m in (dm.A, dm.M, dm.B, dm.S):
             assert m.charpoly().at_matrix(m).is_zero()
+
+
+# (p, n) with n <= 3 and q <= 2000
+TABLE_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (31, 1), (37, 1),
+                (73, 1), (101, 1), (131, 1), (241, 1), (401, 1), (1009, 1),
+                (1999, 1), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3),
+                (11, 2), (11, 3), (13, 2), (29, 2), (43, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TABLE_FIELDS), st.data())
+@example((3, 1), None)   # p = 3 with ell = q - 1
+@example((3, 3), None)   # p = 3 in an extension, ell = q - 1
+@example((7, 2), None)
+def test_table_matches_set_enumeration_property(pn, data):
+    # the slice pass of _build_table (adjacent columns of each row of p
+    # indices, the wrap column, less the two pairs at index 0) against
+    # literal set intersection; data=None takes ell = q - 1, so every class
+    # is one element and each of those pairs moves its own entry
+    field = field_of(*pn)
+    q = field.q
+    if data is None:
+        ell = q - 1
+    else:
+        ell = data.draw(st.sampled_from(
+            [d for d in range(1, q) if (q - 1) % d == 0]))
+    assert CycloCtx(field, ell).table == table_by_set_enumeration(field, ell)

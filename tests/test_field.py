@@ -1,4 +1,6 @@
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,9 @@ from cyclomat import (
     is_irreducible,
     is_prime,
 )
+from cyclomat import field as field_module
+from cyclomat.cli import main as cli_main
+from cyclomat.diffset import SEARCH_MAX_Q
 from cyclomat.field import CONWAY_POLYNOMIALS, FieldCtx
 
 
@@ -225,6 +230,49 @@ def test_int64_table_bound_guard():
         build_field(3, 40)  # 3^40 > 2^63
     with pytest.raises(ContextTooLarge):
         build_field(3, 10 ** 12)  # refused without evaluating 3^(10^12)
+
+
+def test_table_budget_guard(monkeypatch):
+    # the lazy table build needs 8 (n + 2) q bytes at its peak; it is
+    # refused one byte past the budget and admitted at it
+    for p, n in ((10007, 1), (7, 3)):
+        need = 8 * (n + 2) * p ** n
+        monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", need - 1)
+        f = build_field(p, n)
+        with pytest.raises(ContextTooLarge):
+            f.pows
+        monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", need)
+        assert len(f.pows) == f.q - 1 and len(f.dlog) == f.q
+    monkeypatch.undo()
+    # the budget admits every odd prime power q <= SEARCH_MAX_Q
+    worst = 8 * 3 * SEARCH_MAX_Q
+    for p in range(3, 3163, 2):
+        if is_prime(p):
+            n = 2
+            while p ** n <= SEARCH_MAX_Q:
+                worst = max(worst, 8 * (n + 2) * p ** n)
+                n += 1
+    assert worst <= field_module.TABLE_BUDGET_BYTES
+
+
+def test_table_budget_refuses_without_allocating():
+    # p near 10^9 would need 24 GB of tables: refused before any allocation,
+    # and the command line reports it as a usage error (exit 1)
+    tracemalloc.start()
+    try:
+        f = build_field(1000000007)
+        for name in ("pows", "dlog"):
+            with pytest.raises(ContextTooLarge):
+                getattr(f, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_main(["diffset", "--p", "1000000007", "--ell", "2"],
+                    out=out, err=err)
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith("cyclo: error: ContextTooLarge: ")
 
 
 # Default generators of 20 fields as chosen by the scan over every index

@@ -184,6 +184,24 @@ def test_cli_survey_single_and_sweep():
         assert all(e["equal"] for e in entry["entries"])
 
 
+def test_cli_survey_builds_only_odd_k(monkeypatch):
+    import cyclomat.cli
+
+    built = []
+    build = cyclomat.cli.build_field
+
+    def recorded(p, n=1, **kwargs):
+        built.append(p ** n)
+        return build(p, n=n, **kwargs)
+
+    monkeypatch.setattr(cyclomat.cli, "build_field", recorded)
+    code, out, _ = run_cli("survey", "--ell", "4", "--max-q", "2000")
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [e["meta"]["q"] for e in lines] == built
+    assert built and all((q - 1) // 4 % 2 == 1 for q in built)
+
+
 def test_cli_usage_errors():
     code, _, err = run_cli("compute", "--p", "7", "--ell", "4")
     assert code == 1 and "InvalidEll" in err

@@ -3,11 +3,9 @@ import pytest
 from cyclomat import (
     ContextTooLarge,
     EllTooSmall,
-    GroupRingElem,
     IntMatrix,
     KEven,
     build_field,
-    class_sum,
     column_permutation_survey,
     regular_rep,
     run_identity_suite,
@@ -25,6 +23,7 @@ from cyclomat import (
 from cyclomat.schur import _class_convolution_counts
 
 import reference_data as ref
+from group_ring import GroupRingElem, class_sum
 
 
 def test_class_sum_squares_mod_7(cyclo):

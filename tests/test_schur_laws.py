@@ -20,7 +20,6 @@ from cyclomat import (
     InternalError,
     IntMatrix,
     build_field,
-    class_sum,
     regular_rep,
     verify_column_products,
     verify_commutator,
@@ -34,6 +33,8 @@ from cyclomat import (
 from cyclomat import schur
 from cyclomat.report import dumps, jsonable
 from cyclomat.schur import _class_convolution_counts
+
+from group_ring import class_sum
 
 
 def _d(ell, a, b):

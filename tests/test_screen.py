@@ -1,0 +1,129 @@
+"""The search screen on K alone, the one class-count route it shares with
+the bruteforce and modified detectors, and the lazy power/dlog tables."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cyclomat import CycloCtx, FieldCtx, as_odd_prime_power, build_field
+from cyclomat import diffset, search
+from cyclomat.diffset import (
+    _difference_counts_by_class,
+    _difference_counts_literal,
+    is_diffset_lehmer,
+    lehmer_screen,
+)
+from cyclomat.field import power_digits
+
+from conftest import field_of
+
+# (p, n) with q <= 2000, prime and extension fields
+SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (37, 1), (73, 1), (101, 1),
+                (241, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+                (7, 2), (7, 3), (11, 2), (13, 2), (29, 2), (41, 2), (11, 3)]
+
+
+def test_screen_matches_lehmer_on_full_context():
+    # every prime power q <= 3000 and every even ell | q - 1 up to 12,
+    # including extension fields and the trivial subgroup k = 1
+    seen = {"ext": 0, "k1": 0, "hit": 0}
+    for q in range(3, 3001):
+        pn = as_odd_prime_power(q)
+        if pn is None:
+            continue
+        field = build_field(*pn)
+        for ell in range(2, 13, 2):
+            if (q - 1) % ell:
+                continue
+            counts = lehmer_screen(field, ell)
+            ctx = CycloCtx(field, ell)
+            assert (counts is not None) == is_diffset_lehmer(ctx), (q, ell)
+            if counts is not None:
+                assert counts == [ctx.table[0][0]] * ell
+                seen["hit"] += 1
+            seen["ext"] += pn[1] > 1
+            seen["k1"] += ctx.k == 1
+    assert all(seen.values()), seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_class_counts_match_literal_and_table(data):
+    p, n = data.draw(st.sampled_from(SMALL_FIELDS))
+    field = field_of(p, n)
+    q = field.q
+    ell = data.draw(st.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]))
+    ctx = CycloCtx(field, ell)
+    # K: the count of z = g^i equals the literal pair count at every g^e, e = i
+    literal = _difference_counts_literal(field, ell)
+    by_class = _difference_counts_by_class(field, ell)
+    assert len(by_class) == ell
+    for e in range(q - 1):
+        assert literal[int(field.pows[e])] == by_class[e % ell]
+    # K ∪ {0}: the table's modified criterion counts
+    crit = [ctx.table[i][0] + (i == 0) + (i == ctx.qprime) for i in range(ell)]
+    assert _difference_counts_by_class(field, ell, with_zero=True) == crit
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_power_digits_of_any_element(data):
+    p, n = data.draw(st.sampled_from(SMALL_FIELDS))
+    field = field_of(p, n)
+    h = data.draw(st.integers(1, field.q - 1))
+    m = data.draw(st.integers(1, 2 * field.q))
+    ref = [1]
+    for _ in range(m - 1):
+        ref.append(field.mul_idx(ref[-1], h))
+    digits = power_digits(field, h, m)
+    assert digits.shape == (n, m)
+    assert field.encode_array(digits).tolist() == ref
+    assert [field.decode(v) for v in ref] == [tuple(c) for c in digits.T]
+
+
+def test_search_builds_tables_only_for_hits(monkeypatch):
+    built = []
+    original = FieldCtx._build_tables
+
+    def counted(self):
+        built.append(self.q)
+        return original(self)
+
+    monkeypatch.setattr(FieldCtx, "_build_tables", counted)
+    assert [r.q for r in search(4, 2000)] == [37, 101, 197, 677]
+    assert built == [37, 101, 197, 677]
+
+
+def test_search_reuses_screen_counts(monkeypatch):
+    calls = []
+    original = diffset._difference_counts_by_class
+
+    def counted(field, ell, with_zero=False):
+        calls.append(field.q)
+        return original(field, ell, with_zero)
+
+    monkeypatch.setattr(diffset, "_difference_counts_by_class", counted)
+    reports = search(4, 400)
+    assert [r.q for r in reports] == [37, 101, 197]
+    assert all(r.verdicts == {"bruteforce": True, "lehmer": True,
+                              "sumsq": True, "gram": True} for r in reports)
+    # one count per candidate q = 5 (mod 16), the screen's, reused by the
+    # bruteforce detector; q = 5 (k = 1) is rejected before any count
+    assert calls == [q for q in range(21, 401, 16) if as_odd_prime_power(q)]
+
+
+def test_field_builds_tables_lazily(monkeypatch):
+    built = []
+    original = FieldCtx._build_tables
+
+    def counted(self):
+        built.append(self.q)
+        return original(self)
+
+    monkeypatch.setattr(FieldCtx, "_build_tables", counted)
+    field = build_field(7, 3)
+    assert built == []
+    assert lehmer_screen(field, 6) is None and built == []
+    pows = field.pows
+    assert field.dlog[int(pows[5])] == 5 and field.pows is pows
+    assert built == [343]
+    assert isinstance(pows, np.ndarray) and pows.dtype == np.int64
