@@ -118,8 +118,9 @@ def is_diffset_bruteforce(ctx, literal=False, counts=None):
 
     With literal=True every ordered pair of K x K is enumerated (guarded at
     q <= 2000); otherwise one representative per class is counted, which the
-    class-invariance of the count makes equivalent.  ``counts`` passes the
-    class counts lehmer_screen already took for this field and ell.
+    class-invariance of the count makes equivalent, and guarded at
+    q <= BRUTEFORCE_MAX_Q.  ``counts`` passes the class counts lehmer_screen
+    already took for this field and ell; they are used at any q.
     """
     _require_ell(ctx)
     field, ell, k = ctx.field, ctx.ell, ctx.k
@@ -134,10 +135,10 @@ def is_diffset_bruteforce(ctx, literal=False, counts=None):
             raise InternalError("x - x pairs must contribute k at zero")
         values = set(counts[1:])
     else:
-        if ctx.q > BRUTEFORCE_MAX_Q:
-            raise ContextTooLarge("difference counting guarded at q <= %d"
-                                  % BRUTEFORCE_MAX_Q)
         if counts is None:
+            if ctx.q > BRUTEFORCE_MAX_Q:
+                raise ContextTooLarge("difference counting guarded at q <= %d"
+                                      % BRUTEFORCE_MAX_Q)
             counts = _difference_counts_by_class(field, ell)
         values = set(counts)
     if len(values) != 1:

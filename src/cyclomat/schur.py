@@ -16,10 +16,13 @@ convolution oracle in verify_structure_constants confirms this normalization
 against direct group-ring arithmetic.
 
 Group-ring products use the characters of (F_q, +) = (Z/p)^n, on which a
-class indicator lives once reshaped to (p,)*n: one rfftn per class, then
-batched inverses over slices of v, rounded; a residual of 1/4 or more raises
-InternalError.  Past q = MAX_CONVOLUTION_Q or SPECTRA_BUDGET_BYTES of spectra
-it raises ContextTooLarge before allocating.
+class indicator lives once reshaped to (p,)*n.  Multiplication by g^(-v) is
+an automorphism of (F_q, +) that sends alpha_j to alpha_(j-v), so it carries
+alpha_i alpha_v onto alpha_(i-v) alpha_0: the ell products alpha_u alpha_0
+decide all ell^2 pairs.  They are formed over slices of u (one rfftn and one
+inverse per class), rounded; a residual of 1/4 or more raises InternalError.
+Past q = MAX_CONVOLUTION_Q or SPECTRA_BUDGET_BYTES of spectra it raises
+ContextTooLarge before allocating.
 
 Matrix laws are tensor laws over S[v] = A_v and C[u, v, w] = (u-v+s, w-v),
 checked one u-block at a time up to the first failing (u, v) in row-major
@@ -42,8 +45,8 @@ from .intmat import IntMatrix
 from .report import VerifySuiteResult
 
 MAX_CONVOLUTION_Q = 10 ** 5
-# Bytes of the class spectra the convolution keeps, and of the arrays a
-# verifier works on at once (a slice of v, a chunk of quadruples, a u-block).
+# Bytes of the ell class spectra taken together, and of the arrays a
+# verifier works on at once (a slice of u, a chunk of quadruples, a u-block).
 SPECTRA_BUDGET_BYTES = 1 << 28
 ARRAY_BUDGET_BYTES = 1 << 26
 EXHAUSTIVE_QUADRUPLE_LIMIT = 12
@@ -74,8 +77,10 @@ def regular_rep(ctx, v):
 # ----------------------------------------------------------------------
 
 def _convolution_refusal(ctx):
-    """Why the group-ring convolution refuses ctx, or None.  The complex
-    rfftn stack of the ell class indicators takes 8 ell (q + q/p) bytes."""
+    """Why the group-ring convolution refuses ctx, or None: past q =
+    MAX_CONVOLUTION_Q, or when the ell class spectra would take more than
+    SPECTRA_BUDGET_BYTES (8 ell (q + q/p) bytes) together, although only a
+    slice of them is live at once."""
     if ctx.q > MAX_CONVOLUTION_Q:
         return "group-ring convolution guarded at q <= %d" % MAX_CONVOLUTION_Q
     if 8 * ctx.ell * (ctx.q + ctx.q // ctx.field.p) > SPECTRA_BUDGET_BYTES:
@@ -85,9 +90,10 @@ def _convolution_refusal(ctx):
 
 
 def _class_products(ctx):
-    """A generator function of i yielding (start, counts) over slices of v,
-    with counts[v - start, z] = #{(x, y) in g^i K x g^v K : x + y = z}, from
-    the rfftn of each class indicator on (p,)*n (index 0 in no class)."""
+    """An iterator of (start, counts) over slices of u, with counts[u - start,
+    z] = #{(x, y) in g^u K x K : x + y = z}, the coefficients of P_u =
+    alpha_u alpha_0, from the rfftn of each class indicator on (p,)*n
+    (index 0 in no class).  Refusals raise here, before any allocation."""
     from numpy import fft
 
     field, ell, q = ctx.field, ctx.ell, ctx.q
@@ -99,59 +105,71 @@ def _class_products(ctx):
     step = max(1, ARRAY_BUDGET_BYTES // (64 * q))
     cls = field.dlog % ell
     cls[0] = -1                                  # index 0 is in no class
-    spec = np.empty((ell,) + shape[:-1] + (field.p // 2 + 1,), dtype=complex)
-    for start in range(0, ell, step):
-        ind = cls == np.arange(start, min(start + step, ell))[:, None]
-        spec[start:start + step] = fft.rfftn(ind.reshape((-1,) + shape),
-                                             axes=axes)
+    spec0 = fft.rfftn((cls == 0).reshape(shape))
 
-    def counts(i):
+    def slices():
         for start in range(0, ell, step):
-            raw = fft.irfftn(spec[i] * spec[start:start + step], s=shape,
-                             axes=axes).reshape(-1, q)
+            ind = cls == np.arange(start, min(start + step, ell))[:, None]
+            raw = fft.irfftn(fft.rfftn(ind.reshape((-1,) + shape), axes=axes)
+                             * spec0, s=shape, axes=axes).reshape(-1, q)
             out = np.rint(raw)
             worst = float(np.abs(raw - out).max())
             if worst >= 0.25:
                 raise InternalError("convolution residual %.3g >= 1/4 for "
-                                    "class %d" % (worst, i))
+                                    "classes from %d" % (worst, start))
             yield start, out.astype(np.int64)
 
-    return counts
+    return slices()
 
 
 def _class_convolution_counts(ctx, i, v):
-    """counts[z] = #{(x, y) in g^i K x g^v K : x + y = z}, as an int64 array."""
-    v %= ctx.ell
-    return next(c[v - start] for start, c in _class_products(ctx)(i % ctx.ell)
-                if v < start + len(c))
+    """counts[z] = #{(x, y) in g^i K x g^v K : x + y = z}, as an int64 array:
+    P_(i-v) read at g^(-v) z, the image of z under the automorphism that
+    carries alpha_i alpha_v onto alpha_(i-v) alpha_0."""
+    ell, field = ctx.ell, ctx.field
+    u = (i - v) % ell
+    prod = next(c[u - start] for start, c in _class_products(ctx)
+                if u < start + len(c))
+    at = field.pows[(field.dlog - v) % (ctx.q - 1)]
+    at[0] = 0
+    return prod[at]
 
 
 def verify_structure_constants(ctx):
-    """Multiply every pair of class sums by direct convolution in the group
-    ring and confirm the decomposition over {1, alpha_0, ..., alpha_{ell-1}}:
-    the identity coefficient is k exactly when i = v + q' (mod ell), else 0,
-    and the alpha_j coefficient is the table entry (i-v, j-v)."""
+    """Multiply pairs of class sums by direct convolution in the group ring
+    and confirm the decomposition over {1, alpha_0, ..., alpha_{ell-1}}:
+    the identity coefficient of alpha_i alpha_v is k exactly when
+    i = v + q' (mod ell), else 0, and its alpha_j coefficient is the table
+    entry (i-v, j-v).
+
+    Only the ell products P_u = alpha_u alpha_0 are formed.  The map
+    x -> g^(-v) x is an automorphism of (F_q, +) sending alpha_j to
+    alpha_(j-v); it carries alpha_i alpha_v onto P_(i-v) and the right-hand
+    side of (i, v) onto that of (i-v, 0), for any table.  So (i, v) fails
+    exactly when u = i-v fails, and the first failing pair in row-major
+    order is (0, -u) for the failing u that minimizes -u mod ell."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    counts = _class_products(ctx)
+    products = _class_products(ctx)
     cls = ctx.field.dlog % ell
-    cls[0] = ell                    # column ell holds the identity coefficient
     tab = np.array(ctx.table, dtype=np.int64)
-    vs = np.arange(ell)
-
-    def block(i):
-        # coef[v, c] = (i - v, c - v), the alpha_c coefficient of the pair
-        coef = np.empty((ell, ell + 1), dtype=np.int64)
-        coef[:, :ell] = tab[((i - vs) % ell)[:, None], (vs - vs[:, None]) % ell]
-        coef[:, ell] = np.where((i - vs - qp) % ell == 0, k, 0)
-        for start, lhs in counts(i):
-            rhs = np.take(coef[start:start + len(lhs)], cls, axis=1)
-            yield start, lhs, rhs
-
-    return _add_law(VerifySuiteResult(), "structure_constants", ell, block,
-                    lambda lhs, rhs: {
-                        "identity_coefficient": int(lhs[0]),
-                        "expected_identity_coefficient": int(rhs[0])},
-                    keys="iv")
+    want0 = np.where((np.arange(ell) - qp) % ell == 0, k, 0)
+    bad = np.zeros(ell, dtype=bool)
+    ident = np.zeros(ell, dtype=np.int64)
+    for start, lhs in products:
+        us = np.arange(start, start + len(lhs))
+        rhs = tab[us[:, None], cls]
+        rhs[:, 0] = want0[us]
+        bad[us] = (lhs != rhs).any(axis=1)
+        ident[us] = lhs[:, 0]
+    fail = None
+    if bad.any():
+        u = min(np.flatnonzero(bad).tolist(), key=lambda u: -u % ell)
+        fail = {"i": 0, "v": -u % ell, "identity_coefficient": int(ident[u]),
+                "expected_identity_coefficient": int(want0[u])}
+    res = VerifySuiteResult()
+    res.add("structure_constants", fail is None, params={"pairs": ell * ell},
+            detail=fail)
+    return res
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +198,7 @@ def _law_tensors(ctx, shift=None):
     return s, c
 
 
-def _add_law(res, name, ell, block, detail=None, keys="uv"):
+def _add_law(res, name, ell, block, detail=None):
     """block(u) yields (v0, lhs, rhs), stacks over v = v0, v0 + 1, ... that
     cover every v in order; record the first (u, v) where they differ."""
     fail = None
@@ -188,7 +206,7 @@ def _add_law(res, name, ell, block, detail=None, keys="uv"):
         bad = np.flatnonzero((lhs != rhs).reshape(len(lhs), -1).any(axis=1))
         if bad.size:
             x = int(bad[0])
-            fail = dict(zip(keys, (u, v0 + x)))
+            fail = {"u": u, "v": v0 + x}
             if detail is not None:
                 fail.update(detail(lhs[x], rhs[x]))
             break
@@ -321,6 +339,24 @@ def verify_sum_of_squares(ctx):
     return res
 
 
+def _randrange_stream(rng, ell, count):
+    """The next count values of rng.randrange(ell), as an int64 array.
+
+    CPython's randrange(ell) keeps the top ell.bit_length() bits of one
+    32-bit word and draws again while the value is >= ell; getrandbits(32 m)
+    packs the next m words little-endian, so the same words, drawn in bulk
+    and screened the same way, give the same values in the same order."""
+    shift = 32 - ell.bit_length()
+    got, have = [np.empty(0, dtype="<u4")], 0
+    while have < count:
+        m = 2 * (count - have) + 8          # at least half of the words pass
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"),
+                              dtype="<u4") >> shift
+        got.append(words[words < ell])
+        have += len(got[-1])
+    return np.concatenate(got)[:count].astype(np.int64)
+
+
 def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
                                   seed=0, samples=DEFAULT_SAMPLE_COUNT):
     """The four-index identity tying together products of pairs of
@@ -341,9 +377,8 @@ def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
     elif exhaustive:
         mode, quads = "exhaustive", None        # row-major, made per chunk
     else:
-        rng = random.Random(seed)
-        mode, quads = "sampled", [[rng.randrange(ell) for _ in range(4)]
-                                  for _ in range(samples)]
+        mode, quads = "sampled", _randrange_stream(
+            random.Random(seed), ell, 4 * samples).reshape(samples, 4)
     t = np.array(ctx.table, dtype=_law_dtype(ctx))
     w = np.arange(ell)
 

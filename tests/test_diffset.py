@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -29,6 +30,7 @@ from cyclomat import (
     verify_spectral,
 )
 from cyclomat import diffset
+from cyclomat.cli import main
 from cyclomat.diffset import worker_count
 
 import reference_data as ref
@@ -68,6 +70,18 @@ def test_bruteforce_guards(cyclo):
     big = CycloCtx(build_field(4999), 2)
     with pytest.raises(ContextTooLarge):
         is_diffset_bruteforce(big, literal=True)
+
+
+def test_bruteforce_guard_only_when_counting():
+    # the screen's counts decide a hit past BRUTEFORCE_MAX_Q; counting there
+    # is still refused
+    reports = search(2, 1000003, min_q=1000000)
+    assert [r.q for r in reports] == [1000003]
+    assert reports[0].verdicts["bruteforce"] is True
+    err = io.StringIO()
+    code = main(["diffset", "--p", "1009", "--n", "2", "--ell", "2"],
+                out=io.StringIO(), err=err)
+    assert code == 1 and "ContextTooLarge" in err.getvalue()
 
 
 def test_lehmer_detector(cyclo):

@@ -392,6 +392,49 @@ def test_regular_rep_past_the_tensor_budget(fields):
     assert regular_rep(ctx, 5 + 256).matrix.rows == want
 
 
+@pytest.mark.parametrize("spec", [(131, 1, 10), (7, 3, 6)])
+def test_structure_constants_transform_ell_rows(fields, monkeypatch, spec):
+    p, n, ell = spec
+    ctx = CycloCtx(fields(p, n), ell)
+    irfftn, rows = np.fft.irfftn, []
+
+    def counted(a, *args, **kw):
+        rows.append(a.shape[0])
+        return irfftn(a, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfftn", counted)
+    assert verify_structure_constants(ctx).passed
+    assert sum(rows) == ell
+
+
+@pytest.mark.parametrize("spec,u", [((131, 1, 10), 3), ((131, 1, 10), 9),
+                                    ((7, 3, 6), 1), ((7, 3, 6), 4),
+                                    ((41, 1, 4), 2)])
+def test_structure_constants_single_row(fields, spec, u):
+    # a bump in row u breaks P_u = alpha_u alpha_0 alone, so the first
+    # failing pair is (0, -u mod ell)
+    ctx = _corrupted(fields, spec, (u, 2, 1))
+    want = ref_structure_constants(ctx)
+    check = verify_structure_constants(ctx).checks[0]
+    assert want["i"] == 0 and want["v"] == -u % ctx.ell
+    _assert_check(check, "structure_constants", want)
+
+
+_RANDRANGE_ELLS = [1, 2, 3, 13, 16, 17, 64, 1000, 65537]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2024])
+def test_bulk_draw_is_the_randrange_sequence(seed):
+    import random
+
+    for ell in _RANDRANGE_ELLS:
+        rng = random.Random(seed)
+        want = [rng.randrange(ell) for _ in range(4000)]
+        got = schur._randrange_stream(random.Random(seed), ell, 4000)
+        assert got.dtype == np.int64 and got.tolist() == want, ell
+    assert schur._randrange_stream(random.Random(seed), 20, 0).size == 0
+
+
 def test_convolution_residual_guard(fields, monkeypatch):
     ctx = CycloCtx(fields(131, 1), 10)
     irfftn = np.fft.irfftn
