@@ -32,11 +32,8 @@ from .errors import (
 )
 from .field import (
     FieldCtx,
-    FieldElem,
     build_field,
-    dlog,
     factorize,
-    find_generator,
     find_irreducible,
     is_irreducible,
     is_prime,
@@ -47,14 +44,12 @@ from .cyclotomy import (
     DerivedMatrices,
     build_cyclo,
     build_matrices,
-    cyclotomic_number,
     cyclotomic_number_by_pair_count,
     shifted_matrix,
     table_by_set_enumeration,
     verify_elementary_laws,
 )
 from .schur import (
-    RegularRep,
     column_permutation_survey,
     regular_rep,
     run_identity_suite,

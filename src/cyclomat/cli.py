@@ -27,7 +27,7 @@ from .diffset import (
     iter_search,
     modified_diffset,
 )
-from .errors import CyclomatError, InternalError, RangeTooLarge
+from .errors import CyclomatError, EllTooSmall, InternalError, RangeTooLarge
 from .field import build_field
 from .report import dumps, matrix_pretty, matrix_to_csv, matrix_to_obj
 from .schur import SUITES, column_permutation_survey, run_identity_suite
@@ -183,10 +183,10 @@ def _cmd_survey(args, out):
         entries = column_permutation_survey(ctx)
         out.write(dumps({"meta": _meta(ctx), "entries": entries}) + "\n")
         return EXIT_OK
-    for q in range(3, args.max_q + 1):
-        # the survey needs k = (q - 1) / ell odd, known before any build
-        if q % args.ell != 1 or (q - 1) // args.ell % 2 == 0:
-            continue
+    if args.ell < 4:
+        raise EllTooSmall("survey needs ell >= 4")
+    # q = 1 + k ell with k odd, which the survey needs, known before any build
+    for q in range(args.ell + 1, args.max_q + 1, 2 * args.ell):
         pn = as_odd_prime_power(q)
         if pn is None:
             continue

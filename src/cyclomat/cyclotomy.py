@@ -92,11 +92,6 @@ def build_cyclo(field, ell):
     return CycloCtx(field, ell)
 
 
-def cyclotomic_number(ctx, i, j):
-    """|(1 + g^i K) ∩ g^j K|, looked up from the prebuilt table."""
-    return ctx.num(i, j)
-
-
 def table_by_set_enumeration(field, ell):
     """The full table recomputed by literal set intersection.
 

@@ -279,9 +279,8 @@ def verify_spectral(ctx, hit=None):
             detail={"computed": dm.M.trace(), "expected": k})
     res.add("minor_trace", dm.S.trace() == n,
             detail={"computed": dm.S.trace(), "expected": n})
-    residual = dm.S * dm.S - n * IntMatrix.identity(ell - 1)
-    res.add("rank_one_residual", residual.rank() == 1,
-            detail={"rank": residual.rank()})
+    rank = (dm.S * dm.S - n * IntMatrix.identity(ell - 1)).rank()
+    res.add("rank_one_residual", rank == 1, detail={"rank": rank})
 
     half = ell // 2 - 1
     sq = math.sqrt(n)
@@ -469,8 +468,7 @@ class DiffSetReport:
         return self.certificates.passed
 
     def to_obj(self):
-        from .report import jsonable
-
+        """The report with exact values; dumps/jsonable make the JSON."""
         obj = {
             "q": self.q, "p": self.p, "n": self.n, "ell": self.ell,
             "k": self.k, "qprime": self.qprime, "generator": self.generator,
@@ -485,9 +483,9 @@ class DiffSetReport:
             "k_is_square": self.k_is_square,
         }
         if self.determinants is not None:
-            obj["determinants"] = jsonable(self.determinants)
+            obj["determinants"] = self.determinants
         if self.spectra is not None:
-            obj["spectra"] = jsonable(self.spectra)
+            obj["spectra"] = self.spectra
         return obj
 
 
@@ -507,6 +505,7 @@ class ModifiedDiffSetReport:
         return all(self.verdicts.values())
 
     def to_obj(self):
+        """The report with exact values; dumps/jsonable make the JSON."""
         return {
             "q": self.q, "ell": self.ell, "k0": self.k0,
             "lambda0": self.lam0,
@@ -561,12 +560,11 @@ def modified_diffset(ctx):
         certificates=certs)
 
 
-def build_report(ctx, literal_oracle=False, counts=None):
+def build_report(ctx, counts=None):
     """Run all four detectors and, on a hit, the full certificate battery.
     ``counts`` are lehmer_screen's class counts, reused by bruteforce."""
     _require_ell(ctx)
-    bf, lam_bf = is_diffset_bruteforce(ctx, literal=literal_oracle,
-                                       counts=counts)
+    bf, lam_bf = is_diffset_bruteforce(ctx, counts=counts)
     verdicts = {
         "bruteforce": bf,
         "lehmer": is_diffset_lehmer(ctx),
@@ -608,7 +606,7 @@ def build_report(ctx, literal_oracle=False, counts=None):
         lam=lam, verdicts=verdicts, certificates=certs,
         determinants=determinants, spectra=spectra,
         congruences_pass=congruences_pass, schoenberg_pass=schoenberg_pass,
-        q_is_prime=is_prime(ctx.q), k_is_square=kroot * kroot == ctx.k)
+        q_is_prime=ctx.field.n == 1, k_is_square=kroot * kroot == ctx.k)
 
 
 # ----------------------------------------------------------------------

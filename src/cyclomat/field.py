@@ -1,12 +1,13 @@
 """Finite fields F_{p^n} with a fixed generator and a full discrete-log table.
 
-Elements live in the polynomial basis: sum_i c_i * x^i with c_i in [0, p) is
-identified by its canonical index sum_i c_i * p**i, an integer in [0, q).
-All hot paths work on these indices, which makes the power and dlog tables
-plain flat arrays with O(1) addressing.  One kernel, ``power_digits``,
-builds the powers of any element by doubling; its int64 steps are exact
-while n (p-1)^2 < 2^63, else ContextTooLarge is raised.  The power and dlog
-tables (its powers of g) are built on first use, within TABLE_BUDGET_BYTES.
+An element is its canonical index, a plain int in [0, q): the polynomial
+sum_i c_i * x^i with c_i in [0, p) has index sum_i c_i * p**i.  There is no
+element class; the ``*_idx`` methods, ``dlog_of`` and the power and dlog
+tables (flat arrays with O(1) addressing) all take and give indices.  One
+kernel, ``power_digits``, builds the powers of any element by doubling; its
+int64 steps are exact while n (p-1)^2 < 2^63, else ContextTooLarge is
+raised.  The power and dlog tables (its powers of g) are built on first
+use, within TABLE_BUDGET_BYTES.
 
 The generator is the element of smallest canonical index with full
 multiplicative order, so every table derived from a field is reproducible;
@@ -240,72 +241,6 @@ def find_irreducible(p, n):
     raise NoModulusAvailable("no irreducible found for (%d, %d)" % (p, n))
 
 
-class FieldElem:
-    """An element of a FieldCtx, wrapping its canonical index."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field, index):
-        self.field = field
-        self.index = int(index) % field.q
-
-    @property
-    def coeffs(self):
-        return self.field.decode(self.index)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.field is other.field and self.index == other.index
-        if isinstance(other, int):
-            return self.index == self.field.encode_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.index))
-
-    def __repr__(self):
-        if self.field.n == 1:
-            return "FieldElem(%d mod %d)" % (self.index, self.field.p)
-        return "FieldElem(idx=%d, coeffs=%s, q=%d)" % (
-            self.index, list(self.coeffs), self.field.q)
-
-    def _wrap(self, idx):
-        return FieldElem(self.field, idx)
-
-    def _idx(self, other):
-        if isinstance(other, FieldElem):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other.index
-        if isinstance(other, int):
-            return self.field.encode_int(other)
-        raise TypeError("cannot combine FieldElem with %r" % type(other))
-
-    def __add__(self, other):
-        return self._wrap(self.field.add_idx(self.index, self._idx(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._wrap(self.field.sub_idx(self.index, self._idx(other)))
-
-    def __neg__(self):
-        return self._wrap(self.field.neg_idx(self.index))
-
-    def __mul__(self, other):
-        return self._wrap(self.field.mul_idx(self.index, self._idx(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        return self._wrap(self.field.pow_idx(self.index, e))
-
-    def inverse(self):
-        if self.index == 0:
-            raise ZeroElement("zero has no inverse")
-        return self._wrap(self.field.pow_idx(self.index, self.field.q - 2))
-
-
 class FieldCtx:
     """A concrete F_{p^n}: modulus, generator, and power/dlog tables.
 
@@ -317,7 +252,7 @@ class FieldCtx:
     __slots__ = ("p", "n", "q", "modulus", "generator_index", "_pows",
                  "_dlog", "factors_qm1", "_mod_list")
 
-    def __init__(self, p, n=1, modulus=None, generator=None, allow_search=True):
+    def __init__(self, p, n=1, modulus=None, generator=None):
         p = int(p)
         n = int(n)
         if p % 2 == 0:
@@ -333,7 +268,7 @@ class FieldCtx:
         self.p = p
         self.n = n
         self.q = p ** n
-        self.modulus = self._resolve_modulus(modulus, allow_search)
+        self.modulus = self._resolve_modulus(modulus)
         self._mod_list = list(self.modulus)
         self.factors_qm1 = factorize(self.q - 1)
         self.generator_index = self._resolve_generator(generator)
@@ -341,7 +276,7 @@ class FieldCtx:
 
     # -- construction helpers ------------------------------------------
 
-    def _resolve_modulus(self, modulus, allow_search):
+    def _resolve_modulus(self, modulus):
         p, n = self.p, self.n
         if n == 1:
             return (0, 1)  # placeholder; unused for prime fields
@@ -356,17 +291,11 @@ class FieldCtx:
             return coeffs
         if (p, n) in CONWAY_POLYNOMIALS:
             return CONWAY_POLYNOMIALS[(p, n)]
-        if not allow_search:
-            raise NoModulusAvailable(
-                "no built-in modulus for (%d, %d) and search disabled" % (p, n))
         return find_irreducible(p, n)
 
     def _resolve_generator(self, generator):
         if generator is not None:
-            if isinstance(generator, FieldElem):
-                idx = generator.index
-            else:
-                idx = int(generator) % self.q
+            idx = int(generator) % self.q
             if idx == 0 or not self._has_full_order(idx):
                 raise NotAGenerator("index %d does not generate F_%d^*" %
                                     (idx, self.q))
@@ -438,10 +367,6 @@ class FieldCtx:
             idx += row
         return idx
 
-    def encode_int(self, v):
-        """Embed an ordinary integer via the prime subfield."""
-        return int(v) % self.p
-
     def add_idx(self, a, b):
         p = self.p
         if self.n == 1:
@@ -497,24 +422,12 @@ class FieldCtx:
 
     # -- public surface --------------------------------------------------
 
-    @property
-    def generator(self):
-        return FieldElem(self, self.generator_index)
-
-    def element(self, spec):
-        """Build a FieldElem from an index (int) or a coefficient sequence."""
-        if isinstance(spec, FieldElem):
-            return FieldElem(self, spec.index)
-        if isinstance(spec, int):
-            return FieldElem(self, spec)
-        return FieldElem(self, self.encode(spec))
-
     def dlog_of(self, x):
         """Exponent e with generator**e == x; raises ZeroElement on x == 0."""
-        idx = x.index if isinstance(x, FieldElem) else int(x)
-        if idx % self.q == 0:
+        idx = int(x) % self.q
+        if idx == 0:
             raise ZeroElement("dlog of zero is undefined")
-        return int(self.dlog[idx % self.q])
+        return int(self.dlog[idx])
 
     def coset_indices(self, i, ell):
         """Canonical indices of the coset g^i K, where K is the ell-th powers."""
@@ -550,19 +463,6 @@ def power_digits(field, h, m):
     return digits
 
 
-def build_field(p, n=1, modulus=None, generator=None, allow_search=True):
+def build_field(p, n=1, modulus=None, generator=None):
     """Construct F_{p^n} with verified modulus and generator."""
-    return FieldCtx(p, n=n, modulus=modulus, generator=generator,
-                    allow_search=allow_search)
-
-
-def find_generator(ctx, override=None):
-    """The field's deterministic generator, or an order-verified override."""
-    if override is None:
-        return ctx.generator
-    return FieldElem(ctx, ctx._resolve_generator(override))
-
-
-def dlog(ctx, x):
-    """Discrete logarithm of a nonzero element, in [0, q-1)."""
-    return ctx.dlog_of(x)
+    return FieldCtx(p, n=n, modulus=modulus, generator=generator)

@@ -28,14 +28,14 @@ class Check:
     skipped: bool = False
 
     def to_obj(self):
-        obj = {"check": self.name,
-               "params": jsonable(self.params or {}),
+        """The ledger entry with exact values; dumps/jsonable make the JSON."""
+        obj = {"check": self.name, "params": self.params or {},
                "pass": bool(self.ok)}
         if self.skipped:
             obj["skipped"] = True
         if self.detail is not None:
             key = "detail" if self.ok else "counterexample"
-            obj[key] = jsonable(self.detail)
+            obj[key] = self.detail
         return obj
 
 
@@ -60,6 +60,7 @@ class VerifySuiteResult:
         return [c for c in self.checks if not c.ok and not c.skipped]
 
     def to_obj(self):
+        """The entries in order, exact; dumps/jsonable make the JSON."""
         return [c.to_obj() for c in self.checks]
 
 
@@ -77,10 +78,8 @@ def jsonable(x):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, (Check, VerifySuiteResult)):
-        return x.to_obj()
     if hasattr(x, "to_obj"):
-        return x.to_obj()
+        return jsonable(x.to_obj())
     raise TypeError("cannot serialize %r" % type(x))
 
 

@@ -35,7 +35,6 @@ integers; past it they are Python ints (dtype=object).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,23 +52,17 @@ EXHAUSTIVE_QUADRUPLE_LIMIT = 12
 DEFAULT_SAMPLE_COUNT = 10 ** 4
 
 
-@dataclass
-class RegularRep:
-    """Right-multiplication matrix of alpha_v on {1, alpha_0, ..., alpha_{ell-1}}."""
-
-    v: int
-    matrix: IntMatrix
-
-
 def regular_rep(ctx, v):
-    """A_v below a first row e_v and beside a first column k e_{v+q'}."""
+    """The matrix of right multiplication by alpha_v on the basis
+    {1, alpha_0, ..., alpha_{ell-1}}: A_v below a first row e_v and beside
+    a first column k e_{v+q'}."""
     ell = ctx.ell
     v %= ell
     rows = [[0] * (ell + 1)] + [[0] + list(row)
                                 for row in shifted_matrix(ctx, v).rows]
     rows[0][1 + v] = 1
     rows[1 + (v + ctx.qprime) % ell][0] = ctx.k
-    return RegularRep(v=v, matrix=IntMatrix(rows))
+    return IntMatrix(rows)
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +212,7 @@ def verify_regular_representation(ctx):
     [alpha_u][alpha_v] = k*delta(u, v+q')*I + sum_w (u-v, w-v) [alpha_w]."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
     _, c = _law_tensors(ctx, 0)
-    reps = np.array([regular_rep(ctx, v).matrix.rows for v in range(ell)],
+    reps = np.array([regular_rep(ctx, v).rows for v in range(ell)],
                     dtype=c.dtype)
     e = np.arange(ell + 1)
 
@@ -481,17 +474,16 @@ def column_permutation_survey(ctx):
 SUITES = ("schur", "identities", "all")
 
 
-def run_identity_suite(ctx, seed=0, include_convolution=True, suite="all"):
+def run_identity_suite(ctx, seed=0, suite="all"):
     """One suite's verifiers on one context, merged into a single ledger
     after the elementary laws.  "all" records the group-ring convolution as
-    skipped when it is off or past its guards; "schur" runs it, raising
-    ContextTooLarge past them."""
+    skipped past its guards; "schur" runs it, raising ContextTooLarge past
+    them."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % (suite,))
     res = verify_elementary_laws(ctx)
     if suite != "identities":
-        if suite == "schur" or (include_convolution
-                                and _convolution_refusal(ctx) is None):
+        if suite == "schur" or _convolution_refusal(ctx) is None:
             res.merge(verify_structure_constants(ctx))
         else:
             res.add("structure_constants", True, skipped=True,

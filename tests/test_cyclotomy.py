@@ -10,7 +10,6 @@ from cyclomat import (
     InvalidEll,
     build_field,
     build_matrices,
-    cyclotomic_number,
     cyclotomic_number_by_pair_count,
     shifted_matrix,
     table_by_set_enumeration,
@@ -31,11 +30,11 @@ def test_reference_matrices(cyclo):
 
 
 def test_single_entries(cyclo):
-    assert cyclotomic_number(cyclo(7, 3, 6), 0, 3) == 14
-    assert cyclotomic_number(cyclo(131, 1, 10), 0, 8) == 4
+    assert cyclo(7, 3, 6).num(0, 3) == 14
+    assert cyclo(131, 1, 10).num(0, 8) == 4
     for p in (5, 11):
         ctx = cyclo(p, 1, 1)
-        assert cyclotomic_number(ctx, 0, 0) == p - 2
+        assert ctx.num(0, 0) == p - 2
 
 
 def test_invalid_ell():

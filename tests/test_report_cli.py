@@ -8,6 +8,7 @@ import pytest
 from cyclomat import IntMatrix, IntPoly
 from cyclomat.cli import main
 from cyclomat.report import (
+    VerifySuiteResult,
     dumps,
     jsonable,
     matrix_from_csv,
@@ -63,6 +64,23 @@ def test_jsonable_int_threshold():
     assert jsonable(2 ** 53) == str(2 ** 53)
     assert jsonable(-(2 ** 53)) == str(-(2 ** 53))
     assert jsonable({"x": (1, 2)}) == {"x": [1, 2]}
+
+
+def test_to_obj_is_exact_and_dumps_encodes():
+    # to_obj keeps the ledger's values; dumps alone turns them into JSON
+    m = IntMatrix([[2 ** 53, -1], [0, 7]])
+    res = VerifySuiteResult()
+    res.add("law", False, params={"bound": 2 ** 53},
+            detail={"residual": m, "big": 2 ** 53})
+    obj = res.to_obj()[0]
+    assert obj["params"]["bound"] == 2 ** 53
+    assert obj["counterexample"]["residual"] is m
+    assert obj["counterexample"]["big"] == 2 ** 53
+    assert dumps(res) == dumps(res.to_obj())
+    back = json.loads(dumps(res.to_obj()))[0]
+    assert back["params"]["bound"] == str(2 ** 53)
+    assert back["counterexample"] == {
+        "residual": [[str(2 ** 53), "-1"], ["0", "7"]], "big": str(2 ** 53)}
 
 
 def test_dumps_sorted_keys():
@@ -200,6 +218,14 @@ def test_cli_survey_builds_only_odd_k(monkeypatch):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [e["meta"]["q"] for e in lines] == built
     assert built and all((q - 1) // 4 % 2 == 1 for q in built)
+
+
+def test_cli_survey_sweep_rejects_small_ell():
+    # refused before the sweep, with the single-field survey's message
+    for ell in ("0", "-2", "2"):
+        code, out, err = run_cli("survey", "--ell", ell, "--max-q", "10")
+        assert (code, out) == (1, "")
+        assert err == "cyclo: error: EllTooSmall: survey needs ell >= 4\n"
 
 
 def test_cli_usage_errors():

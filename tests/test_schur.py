@@ -93,8 +93,7 @@ def test_regular_rep_blocks(cyclo):
     ctx = cyclo(131, 1, 10)
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
     for v in (0, 3, qp):
-        rep = regular_rep(ctx, v)
-        m = rep.matrix
+        m = regular_rep(ctx, v)
         assert m.dim == ell + 1
         assert m[0, 0] == 0
         assert m.rows[0][1:] == [1 if j == v else 0 for j in range(ell)]
@@ -116,7 +115,7 @@ def test_product_law_is_lower_right_block_of_rep_product(cyclo):
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
     for u in range(ell):
         for v in range(ell):
-            full = regular_rep(ctx, u).matrix * regular_rep(ctx, v).matrix
+            full = regular_rep(ctx, u) * regular_rep(ctx, v)
             block = IntMatrix([row[1:] for row in full.rows[1:]])
             direct = shifted_matrix(ctx, u) * shifted_matrix(ctx, v)
             assert block == direct + k * IntMatrix.elementary(

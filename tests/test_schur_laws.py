@@ -389,7 +389,7 @@ def test_regular_rep_past_the_tensor_budget(fields):
     with pytest.raises(ContextTooLarge):
         verify_regular_representation(ctx)
     want = ref_regular_rep_matrix(ctx, 5)
-    assert regular_rep(ctx, 5 + 256).matrix.rows == want
+    assert regular_rep(ctx, 5 + 256).rows == want
 
 
 @pytest.mark.parametrize("spec", [(131, 1, 10), (7, 3, 6)])
