@@ -22,8 +22,8 @@ from . import __version__
 from .cyclotomy import CycloCtx, build_matrices
 from .diffset import (
     SEARCH_MAX_Q,
-    as_odd_prime_power,
     build_report,
+    iter_odd_prime_powers,
     iter_search,
     modified_diffset,
 )
@@ -90,7 +90,7 @@ def _build_parser():
     y = subs.add_parser("survey", help="column permutation survey")
     y.add_argument("--ell", type=int, required=True)
     y.add_argument("--p", type=int, default=None)
-    y.add_argument("--n", type=int, default=1)
+    y.add_argument("--n", type=int, default=None)
     y.add_argument("--modulus", type=str, default=None)
     y.add_argument("--generator", type=int, default=None)
     y.add_argument("--max-q", type=int, default=None)
@@ -179,18 +179,23 @@ def _cmd_survey(args, out):
     if args.max_q is not None and args.max_q > SEARCH_MAX_Q:
         raise RangeTooLarge("survey bounded at q <= %d" % SEARCH_MAX_Q)
     if args.p is not None:
+        if args.n is None:
+            args.n = 1
         ctx = _make_ctx(args)
         entries = column_permutation_survey(ctx)
         out.write(dumps({"meta": _meta(ctx), "entries": entries}) + "\n")
         return EXIT_OK
+    field_flags = [flag for flag in ("n", "modulus", "generator")
+                   if getattr(args, flag) is not None]
+    if field_flags:
+        raise _UsageError("survey --max-q takes no %s" % ", ".join(
+            "--" + flag for flag in field_flags))
     if args.ell < 4:
         raise EllTooSmall("survey needs ell >= 4")
     # q = 1 + k ell with k odd, which the survey needs, known before any build
-    for q in range(args.ell + 1, args.max_q + 1, 2 * args.ell):
-        pn = as_odd_prime_power(q)
-        if pn is None:
-            continue
-        ctx = CycloCtx(build_field(pn[0], n=pn[1]), args.ell)
+    for q, p, n in iter_odd_prime_powers(args.ell + 1, args.max_q,
+                                         2 * args.ell):
+        ctx = CycloCtx(build_field(p, n=n), args.ell)
         entries = column_permutation_survey(ctx)
         out.write(dumps({"meta": _meta(ctx), "entries": entries},
                         compact=True) + "\n")

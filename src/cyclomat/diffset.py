@@ -63,9 +63,10 @@ def _lambda_if_integral(ctx):
 # detectors
 # ----------------------------------------------------------------------
 
-def _difference_counts_by_class(field, ell, with_zero=False):
+def _difference_counts_by_class(field, ell, with_zero=False, lam=None):
     """Representation counts of z = x - y over K x K (over K_0 x K_0 with
-    with_zero), one representative z = g^i per class i < ell.
+    with_zero), one representative z = g^i per class i < ell, in increasing
+    i.  With ``lam``, counting stops after the first count that is not lam.
 
     Uses only field addition and membership in K, never the dlog or the
     cyclotomic table: K = <g^ell> comes from the doubling kernel as digit
@@ -85,6 +86,8 @@ def _difference_counts_by_class(field, ell, with_zero=False):
         np.subtract(shifted, p, out=shifted, where=shifted >= p)
         inside = member[field.encode_array(shifted)]
         counts.append(int(np.count_nonzero(inside)))
+        if lam is not None and counts[-1] != lam:
+            break
         z = field.mul_idx(z, g)
     return counts
 
@@ -93,12 +96,15 @@ def lehmer_screen(field, ell):
     """Lehmer's verdict on K alone, for ell >= 2 dividing q - 1: the counts
     of K when they are constant and k > 1 (a hit), else None.
 
-    Exact integer counts from the one count route; no power, dlog or
-    cyclotomic table is built."""
-    if (field.q - 1) // ell == 1:
+    The ell counts sum to k - 1, so constant counts all equal
+    lambda = (k - 1) / ell: nothing is counted unless ell | k - 1, and
+    counting stops at the first class off lambda.  Exact integer counts from
+    the one count route; no power, dlog or cyclotomic table is built."""
+    k = (field.q - 1) // ell
+    if k == 1 or (k - 1) % ell:
         return None
-    counts = _difference_counts_by_class(field, ell)
-    return counts if len(set(counts)) == 1 else None
+    counts = _difference_counts_by_class(field, ell, lam=(k - 1) // ell)
+    return counts if len(counts) == ell else None
 
 
 def _difference_counts_literal(field, ell):
@@ -638,6 +644,26 @@ def _integer_root(q, n):
         x = y
 
 
+def iter_odd_prime_powers(first, max_q, step):
+    """(q, p, n) for each odd prime power q = p^n in
+    range(first, max_q + 1, step): is_prime, else a lookup in one table of
+    the powers p^n <= max_q with n >= 2, built on the first step."""
+    higher = {}
+    for p in range(3, math.isqrt(max(max_q, 0)) + 1, 2):
+        if is_prime(p):
+            pn, n = p * p, 2
+            while pn <= max_q:
+                higher[pn] = (p, n)
+                pn, n = pn * p, n + 1
+    for q in range(first, max_q + 1, step):
+        if q % 2 == 0 or q < 3:
+            continue
+        if is_prime(q):
+            yield q, q, 1
+        elif q in higher:
+            yield (q,) + higher[q]
+
+
 def _search_one(args):
     q, p, n, ell = args
     field = build_field(p, n)
@@ -650,7 +676,7 @@ def _search_one(args):
 def passes_prefilter(q, ell):
     """Lehmer's necessary conditions for K to be a difference set: k odd and
     ell | k - 1, with k = (q - 1) / ell.  For even ell this is
-    q = ell + 1 (mod ell^2); for odd ell no q passes."""
+    q = ell + 1 (mod ell^2); for odd ell no odd q passes."""
     k, r = divmod(q - 1, ell)
     return r == 0 and k % 2 == 1 and (k - 1) % ell == 0
 
@@ -667,26 +693,25 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
     """Scan prime powers q in [min_q, max_q] for power difference sets and
     yield each hit's report in increasing q, as soon as it is certified.
 
-    Only q passing the Lehmer prefilter get a field, and that field builds
-    no table: lehmer_screen decides Lehmer's criterion on K alone.  Only a
-    hit gets the power/dlog tables, a cyclotomic table and the full report
-    (all four detectors and the certificate battery, recording whether q is
-    prime and whether k is a perfect square).  Bad arguments raise here,
-    before any iteration."""
+    Bad arguments raise here, when iter_search is called.  Candidates then
+    stream through the class passes_prefilter admits, q = ell + 1
+    (mod ell^2) (none for odd ell), so with one worker the first hit comes
+    before the rest of the range is enumerated.  Their fields build no
+    table: lehmer_screen decides on K alone.  Only a hit gets the power/dlog
+    tables, a cyclotomic table and the full report (all four detectors and
+    the certificate battery, recording whether q is prime and whether k is
+    a perfect square)."""
     if ell < 2:
         raise EllOne("search needs ell >= 2")
     if max_q > SEARCH_MAX_Q:
         raise RangeTooLarge("search bounded at q <= %d" % SEARCH_MAX_Q)
     workers = worker_count(jobs)
-    candidates = []
+    step = ell * ell
     first = max(3, min_q)
-    for q in range(first + (1 - first) % ell, max_q + 1, ell):  # q = 1 mod ell
-        if not passes_prefilter(q, ell):
-            continue
-        pn = as_odd_prime_power(q)
-        if pn is None or (prime_only and pn[1] != 1):
-            continue
-        candidates.append((q, pn[0], pn[1], ell))
+    first += (ell + 1 - first) % step
+    powers = iter_odd_prime_powers(first, max_q, step) if ell % 2 == 0 else ()
+    candidates = ((q, p, n, ell) for q, p, n in powers
+                  if n == 1 or not prime_only)
     return _iter_hits(candidates, workers)
 
 

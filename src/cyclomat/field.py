@@ -405,6 +405,10 @@ class FieldCtx:
         return self.encode(prod + [0] * (self.n - len(prod)))
 
     def pow_idx(self, a, e):
+        """a^e; a negative e raises ZeroElement on a == 0, which has no
+        inverse."""
+        if e < 0 and a % self.q == 0:
+            raise ZeroElement("zero has no inverse")
         if self.n == 1:
             return pow(a, e, self.p)
         e = int(e)

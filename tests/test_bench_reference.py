@@ -1,8 +1,13 @@
-"""The verify_suite ledgers recorded in bench/reference.json, reproduced byte
-for byte through the CLI at the reference seed and at two others.  Only the
-seed fields depend on the seed, so each expected ledger is the recorded
-template with the seed token substituted."""
+"""The outputs recorded in bench/reference.json, reproduced byte for byte
+through the CLI.
 
+The verify_suite ledgers are checked at the reference seed and at two others.
+Only the seed fields depend on the seed, so each expected ledger is the
+recorded template with the seed token substituted.  The search workloads'
+streamed stdout is checked against its recorded sha256, with one worker and
+with two."""
+
+import hashlib
 import io
 import json
 import os
@@ -27,3 +32,31 @@ def test_verify_suite_ledgers_match_reference(seed):
         out = io.StringIO()
         assert main(argv, out=out, err=io.StringIO()) == 0, argv
         assert out.getvalue() == entry["stdout"].replace(token, str(seed)), argv
+
+
+def _search_entry(workload):
+    with open(REFERENCE, encoding="utf-8") as f:
+        (entry,) = json.load(f)["full"][workload]
+    return entry
+
+
+def _search_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv, out=out, err=err)
+    if code == 1 and "IoFailure" in err.getvalue():
+        pytest.skip("process pool unavailable in sandbox")
+    assert code == 0, (argv, err.getvalue())
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("workload", ["search_ell4", "hits_ell2"])
+def test_search_stdout_matches_reference(workload):
+    entry = _search_entry(workload)
+    assert _search_digest(entry["argv"]) == entry["stdout_sha256"]
+
+
+def test_parallel_search_stdout_matches_reference():
+    entry = _search_entry("search_ell4")
+    argv = list(entry["argv"])
+    argv[argv.index("--jobs") + 1] = "2"
+    assert _search_digest(argv) == entry["stdout_sha256"]

@@ -31,7 +31,12 @@ from cyclomat import (
 )
 from cyclomat import diffset
 from cyclomat.cli import main
-from cyclomat.diffset import worker_count
+from cyclomat.diffset import (
+    SEARCH_MAX_Q,
+    iter_odd_prime_powers,
+    iter_search,
+    worker_count,
+)
 
 import reference_data as ref
 
@@ -355,6 +360,73 @@ def test_search_screens_only_prefiltered_candidates(monkeypatch):
     assert seen and all(q % 16 == 5 for q in seen)
     seen.clear()
     assert search(3, 1000) == [] and seen == []  # odd ell: nothing to build
+
+
+def _candidates_by_rule(ell, max_q, min_q, prime_only):
+    # q by q: every q = 1 (mod ell) in range that passes the prefilter and
+    # is an odd prime power
+    first = max(3, min_q)
+    out = []
+    for q in range(first + (1 - first) % ell, max_q + 1, ell):
+        pn = as_odd_prime_power(q)
+        if passes_prefilter(q, ell) and pn is not None \
+                and not (prime_only and pn[1] != 1):
+            out.append((q, pn[0], pn[1], ell))
+    return out
+
+
+def test_candidate_stream_matches_prefilter_rule(monkeypatch):
+    seen = []
+
+    def record(candidate):
+        seen.append(candidate)
+
+    monkeypatch.setattr(diffset, "_search_one", record)
+    for ell in (2, 3, 4, 6, 8, 10):
+        for min_q, max_q in ((3, 20000), (-5, 500), (101, 101), (102, 9000),
+                             (677, 20000), (3, 2), (12000, 11000),
+                             (3, -40)):
+            for prime_only in (False, True):
+                seen.clear()
+                assert list(iter_search(ell, max_q, min_q=min_q,
+                                        prime_only=prime_only)) == []
+                assert seen == _candidates_by_rule(ell, max_q, min_q,
+                                                  prime_only), \
+                    (ell, min_q, max_q, prime_only)
+
+
+def test_odd_prime_powers_match_single_q_route():
+    for first, max_q, step in ((0, 3000, 1), (5, 20000, 16), (7, 6561, 2),
+                               (6, 500, 6), (3, 3, 1), (5, -9, 8)):
+        want = [(q,) + as_odd_prime_power(q)
+                for q in range(first, max_q + 1, step)
+                if as_odd_prime_power(q) is not None]
+        assert list(iter_odd_prime_powers(first, max_q, step)) == want
+
+
+def test_first_hit_streams_before_the_range_is_enumerated(monkeypatch):
+    screened = []
+    screen = diffset._search_one
+
+    def record(candidate):
+        screened.append(candidate[0])
+        return screen(candidate)
+
+    monkeypatch.setattr(diffset, "_search_one", record)
+    hits = iter_search(4, SEARCH_MAX_Q)
+    assert screened == []
+    assert next(hits).q == 37
+    assert screened == [5, 37]  # 21 is no prime power
+    hits.close()
+
+
+def test_iter_search_checks_arguments_when_called():
+    with pytest.raises(EllOne):
+        iter_search(1, 50)
+    with pytest.raises(RangeTooLarge):
+        iter_search(2, SEARCH_MAX_Q + 1)
+    with pytest.raises(InvalidJobs):
+        iter_search(2, 50, jobs=0)
 
 
 def test_prefilter_rejects_only_non_hits():

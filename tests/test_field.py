@@ -121,6 +121,9 @@ def test_extension_field_structure(fields):
     assert f.mul_idx(x, f.pow_idx(x, -1)) == 1
     assert f.add_idx(x, f.neg_idx(x)) == 0
     assert f.sub_idx(x, x) == 0
+    assert f.pow_idx(0, 0) == 1 and f.pow_idx(0, 5) == 0
+    with pytest.raises(ZeroElement):
+        f.pow_idx(0, -1)
 
 
 def test_no_root_irreducibility_for_small_degrees():
@@ -160,6 +163,9 @@ def test_field_elem_arithmetic(fields):
     assert f.mul_idx(a, b) == 17 * 100 % 131
     assert f.pow_idx(a, 3) == pow(17, 3, 131)
     assert f.mul_idx(a, f.pow_idx(a, -1)) == 1
+    assert f.pow_idx(0, 0) == 1 and f.pow_idx(0, 5) == 0
+    with pytest.raises(ZeroElement):
+        f.pow_idx(0, -1)
 
 
 def test_dlog_table_is_bijection(fields):

@@ -228,6 +228,24 @@ def test_cli_survey_sweep_rejects_small_ell():
         assert err == "cyclo: error: EllTooSmall: survey needs ell >= 4\n"
 
 
+def test_cli_survey_sweep_refuses_field_flags(monkeypatch):
+    import cyclomat.cli
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("survey built a field despite a usage error")
+
+    monkeypatch.setattr(cyclomat.cli, "build_field", no_field)
+    for flags, named in ((["--n", "2"], "--n"),
+                         (["--modulus", "2,1"], "--modulus"),
+                         (["--generator", "3"], "--generator"),
+                         (["--generator", "3", "--n", "1"],
+                          "--n, --generator")):
+        code, out, err = run_cli("survey", "--ell", "4", "--max-q", "40",
+                                 *flags)
+        assert (code, out) == (1, "")
+        assert err == "cyclo: error: survey --max-q takes no %s\n" % named
+
+
 def test_cli_usage_errors():
     code, _, err = run_cli("compute", "--p", "7", "--ell", "4")
     assert code == 1 and "InvalidEll" in err

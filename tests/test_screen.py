@@ -2,7 +2,7 @@
 the bruteforce and modified detectors, and the lazy power/dlog tables."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import CycloCtx, FieldCtx, as_odd_prime_power, build_field
 from cyclomat import diffset, search
@@ -12,7 +12,7 @@ from cyclomat.diffset import (
     is_diffset_lehmer,
     lehmer_screen,
 )
-from cyclomat.field import power_digits
+from cyclomat.field import is_prime, power_digits
 
 from conftest import field_of
 
@@ -64,6 +64,38 @@ def test_class_counts_match_literal_and_table(data):
     assert _difference_counts_by_class(field, ell, with_zero=True) == crit
 
 
+@st.composite
+def _field_and_ell(draw):
+    """(p, n, ell): a random small prime field or a listed extension field,
+    and any ell >= 2 dividing q - 1."""
+    p, n = draw(st.one_of(
+        st.integers(3, 1500).filter(is_prime).map(lambda p: (p, 1)),
+        st.sampled_from([f for f in SMALL_FIELDS if f[1] > 1])))
+    q = p ** n
+    ell = draw(st.sampled_from([d for d in range(2, q) if (q - 1) % d == 0]))
+    return p, n, ell
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_and_ell())
+@example((79, 1, 6))  # class 0 counts lambda = 2, the counts are not constant
+@example((73, 1, 8))  # a hit
+def test_screen_agrees_with_full_count_route(case):
+    p, n, ell = case
+    field = field_of(p, n)
+    k = (field.q - 1) // ell
+    full = _difference_counts_by_class(field, ell)
+    assert sum(full) == k - 1
+    hit = k > 1 and len(set(full)) == 1
+    assert lehmer_screen(field, ell) == (full if hit else None)
+    if (k - 1) % ell == 0:
+        # the early stop keeps the counts up to the first one off lambda
+        lam = (k - 1) // ell
+        stop = next((i for i, c in enumerate(full) if c != lam), ell - 1)
+        assert _difference_counts_by_class(field, ell, lam=lam) == \
+            full[:stop + 1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_power_digits_of_any_element(data):
@@ -97,9 +129,9 @@ def test_search_reuses_screen_counts(monkeypatch):
     calls = []
     original = diffset._difference_counts_by_class
 
-    def counted(field, ell, with_zero=False):
+    def counted(field, ell, with_zero=False, lam=None):
         calls.append(field.q)
-        return original(field, ell, with_zero)
+        return original(field, ell, with_zero, lam)
 
     monkeypatch.setattr(diffset, "_difference_counts_by_class", counted)
     reports = search(4, 400)
