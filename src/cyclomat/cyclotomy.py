@@ -2,8 +2,10 @@
 
 With K the subgroup of ell-th powers in F_q^* and g the field's generator,
 the entry (i, j) counts |(1 + g^i K) ∩ g^j K|.  Indices extend to all of Z
-with period ell.  The full ell x ell table is built in one O(q) pass over
-the field's classes, reshaped to rows of p canonical indices that share
+with period ell.  The classes come from the cosets of K, whose digits the
+doubling kernel carries to g^j K, j < ell, before one scatter; no power or
+dlog table is read.  The full ell x ell table is built in one O(q) pass
+over the classes, reshaped to rows of p canonical indices that share
 their higher digits: x + 1 only touches the constant digit, so the pairs
 (x, x + 1) are the adjacent columns of each row plus the wrap from column
 p - 1 to column 0, less the two pairs that touch index 0.  The pass is
@@ -27,34 +29,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllTooSmall, InternalError, InvalidEll
-from .field import FieldCtx
+from .field import FieldCtx, power_digits
 from .intmat import IntMatrix
 from .report import VerifySuiteResult
 
+TABLE_ENTRY_BYTES = 48  # peak bytes per table entry: int64, list slot, int
 
-def _build_table(field, ell):
-    q, p = field.q, field.p
-    cls = field.dlog % ell          # class of each nonzero index; cls[0] is junk
-    r = cls.reshape(q // p, p)      # row: one value of the higher digits
+
+def _build_classes(field, ell):
+    """classes[x] = i for x in g^i K, read-only; classes[0] = 0 is no class."""
+    field.require_table_budget("cyclotomic classes")
+    digits = power_digits(field, field.generator_index, field.q - 1,
+                          block=field.subgroup_digits(ell))
+    classes = np.full(field.q, -1, dtype=np.int64)
+    cosets = field.encode_array(digits).reshape(ell, -1)    # row j: g^j K
+    classes[cosets] = np.arange(ell)[:, None]
+    if int(classes[0]) != -1 or int(np.count_nonzero(classes < 0)) != 1:
+        raise InternalError("cosets of K do not partition F_q^*")
+    classes[0] = 0
+    classes.flags.writeable = False
+    return classes
+
+
+def _build_table(classes, p, ell):
+    r = classes.reshape(-1, p)      # row: one value of the higher digits
     codes = r[:, :-1] * ell         # x -> x + 1 inside a row
     codes += r[:, 1:]
     counts = np.bincount(codes.ravel(), minlength=ell * ell)
     counts += np.bincount(r[:, -1] * ell + r[:, 0], minlength=ell * ell)
     # drop the pairs (0, 1) and (-1, 0) that touch index 0
-    counts[cls[0] * ell + cls[1]] -= 1
-    counts[cls[p - 1] * ell + cls[0]] -= 1
-    return [[int(counts[i * ell + j]) for j in range(ell)] for i in range(ell)]
+    counts[classes[0] * ell + classes[1]] -= 1
+    counts[classes[p - 1] * ell + classes[0]] -= 1
+    return counts.reshape(ell, ell).tolist()
 
 
 class CycloCtx:
-    """A field together with ell, k = (q-1)/ell, q', and the full table.
+    """A field together with ell, k = (q-1)/ell, q', classes and the table.
 
     Immutable after construction; the elementary row/column/symmetry laws
     are asserted as part of the build, so a live CycloCtx is always
     internally consistent.
     """
 
-    __slots__ = ("field", "ell", "k", "qprime", "table")
+    __slots__ = ("field", "ell", "k", "qprime", "classes", "table")
 
     def __init__(self, field, ell):
         if not isinstance(field, FieldCtx):
@@ -62,6 +79,8 @@ class CycloCtx:
         ell = int(ell)
         if ell < 1 or (field.q - 1) % ell != 0:
             raise InvalidEll("ell=%d does not divide q-1=%d" % (ell, field.q - 1))
+        field.require_table_budget("the %d x %d cyclotomic table" % (ell, ell),
+                                   TABLE_ENTRY_BYTES * ell * ell)
         self.field = field
         self.ell = ell
         self.k = (field.q - 1) // ell
@@ -69,7 +88,8 @@ class CycloCtx:
         expected_qprime = 0 if self.k % 2 == 0 else ell // 2
         if self.qprime != expected_qprime:
             raise InternalError("half-shift classification is broken")
-        self.table = _build_table(field, ell)
+        self.classes = _build_classes(field, ell)
+        self.table = _build_table(self.classes, field.p, ell)
         laws = verify_elementary_laws(self)
         if not laws.passed:
             raise InternalError("table violates its defining laws: %s"

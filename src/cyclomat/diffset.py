@@ -40,7 +40,7 @@ from .errors import (
     NotADifferenceSet,
     RangeTooLarge,
 )
-from .field import build_field, is_prime, power_digits
+from .field import build_field, is_prime
 from .intmat import IntMatrix, IntPoly
 from .report import VerifySuiteResult
 
@@ -69,12 +69,11 @@ def _difference_counts_by_class(field, ell, with_zero=False, lam=None):
     i.  With ``lam``, counting stops after the first count that is not lam.
 
     Uses only field addition and membership in K, never the dlog or the
-    cyclotomic table: K = <g^ell> comes from the doubling kernel as digit
-    vectors, the digits of z are added mod p, and the sums are re-encoded
-    and looked up in a boolean membership array.  The prime field is the
-    case n = 1."""
+    cyclotomic table: the digits of z are added mod p to the field's digits
+    of K = <g^ell> (shared with CycloCtx), re-encoded and looked up in a
+    boolean membership array.  The prime field is the case n = 1."""
     p, q, g = field.p, field.q, field.generator_index
-    digits = power_digits(field, field.pow_idx(g, ell), (q - 1) // ell)
+    digits = field.subgroup_digits(ell)
     if with_zero:
         digits = np.concatenate([digits, np.zeros((field.n, 1), np.int64)],
                                 axis=1)
@@ -715,19 +714,31 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
     return _iter_hits(candidates, workers)
 
 
+def _search_chunk(chunk):
+    return [_search_one(c) for c in chunk]
+
+
 def _iter_hits(candidates, workers):
     if workers == 1:
         yield from (r for r in map(_search_one, candidates) if r is not None)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from itertools import islice
 
+    chunks = iter(lambda: list(islice(candidates, 8)), [])
     pool = ProcessPoolExecutor(max_workers=workers,
                                mp_context=multiprocessing.get_context("spawn"))
     try:
-        results = pool.map(_search_one, candidates, chunksize=8)
-        yield from (r for r in results if r is not None)
-    finally:  # a stream closed early drops the candidates not yet started
+        # about two chunks per worker in flight; results leave in q order
+        window = [pool.submit(_search_chunk, c)
+                  for c in islice(chunks, 2 * workers)]
+        while window:
+            done = window.pop(0).result()
+            window.extend(pool.submit(_search_chunk, c)
+                          for c in islice(chunks, 1))
+            yield from (r for r in done if r is not None)
+    finally:  # a stream closed early drops the chunks not yet started
         pool.shutdown(cancel_futures=True)
 
 

@@ -1,13 +1,14 @@
-"""Finite fields F_{p^n} with a fixed generator and a full discrete-log table.
+"""Finite fields F_{p^n} with a fixed generator.
 
 An element is its canonical index, a plain int in [0, q): the polynomial
 sum_i c_i * x^i with c_i in [0, p) has index sum_i c_i * p**i.  There is no
 element class; the ``*_idx`` methods, ``dlog_of`` and the power and dlog
 tables (flat arrays with O(1) addressing) all take and give indices.  One
-kernel, ``power_digits``, builds the powers of any element by doubling; its
-int64 steps are exact while n (p-1)^2 < 2^63, else ContextTooLarge is
-raised.  The power and dlog tables (its powers of g) are built on first
-use, within TABLE_BUDGET_BYTES.
+kernel, ``power_digits``, builds the powers of any element (or block) by
+doubling; its int64 steps are exact while n (p-1)^2 < 2^63, else
+ContextTooLarge is raised.  K, the ell-th powers, serves the screen and the
+classes; the power and dlog tables (powers of g) serve dlog_of,
+coset_indices and the oracles.  All are lazy, within TABLE_BUDGET_BYTES.
 
 The generator is the element of smallest canonical index with full
 multiplicative order, so every table derived from a field is reproducible;
@@ -250,7 +251,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "generator_index", "_pows",
-                 "_dlog", "factors_qm1", "_mod_list")
+                 "_dlog", "_subgroups", "factors_qm1", "_mod_list")
 
     def __init__(self, p, n=1, modulus=None, generator=None):
         p = int(p)
@@ -273,6 +274,7 @@ class FieldCtx:
         self.factors_qm1 = factorize(self.q - 1)
         self.generator_index = self._resolve_generator(generator)
         self._pows = self._dlog = None
+        self._subgroups = {}
 
     # -- construction helpers ------------------------------------------
 
@@ -311,12 +313,17 @@ class FieldCtx:
         m = self.q - 1
         return all(self.pow_idx(idx, m // f) != 1 for f, _ in self.factors_qm1)
 
-    def _build_tables(self):
-        need = 8 * (self.n + 2) * self.q
+    def require_table_budget(self, what, need=None):
+        """Raise ContextTooLarge, before allocating, when ``what`` needs more
+        than TABLE_BUDGET_BYTES: ``need``, or 8 (n + 2) q over all of F_q."""
+        need = 8 * (self.n + 2) * self.q if need is None else need
         if need > TABLE_BUDGET_BYTES:
-            raise ContextTooLarge("power/dlog tables of F_%d would take %d "
-                                  "bytes, past the %d-byte budget"
-                                  % (self.q, need, TABLE_BUDGET_BYTES))
+            raise ContextTooLarge("%s of F_%d would take %d bytes, past the "
+                                  "%d-byte budget"
+                                  % (what, self.q, need, TABLE_BUDGET_BYTES))
+
+    def _build_tables(self):
+        self.require_table_budget("power/dlog tables")
         q, m = self.q, self.q - 1
         pows = self.encode_array(power_digits(self, self.generator_index, m))
         dlog = np.full(q, -1, dtype=np.int64)
@@ -339,6 +346,15 @@ class FieldCtx:
         if self._dlog is None:
             self._build_tables()
         return self._dlog
+
+    def subgroup_digits(self, ell):
+        """Digits of K = {g^(ell t)}, t < (q-1)/ell: read-only, built once."""
+        if ell not in self._subgroups:
+            self.require_table_budget("the subgroup of %d-th powers" % ell)
+            h = self.pow_idx(self.generator_index, ell)
+            self._subgroups[ell] = power_digits(self, h, (self.q - 1) // ell)
+            self._subgroups[ell].flags.writeable = False
+        return self._subgroups[ell]
 
     # -- index arithmetic ----------------------------------------------
 
@@ -444,19 +460,20 @@ class FieldCtx:
                                                      list(self.modulus))
 
 
-def power_digits(field, h, m):
-    """Digit vectors of h^0 .. h^(m-1) in ``field``, an int64 (n, m) array.
+def power_digits(field, h, m, block=None):
+    """Digit vectors of h^0 .. h^(m-1) in ``field``, an int64 (n, m) array;
+    given an (n, w) digit ``block``, column j w + c is h^j times its column c.
 
     Multiplication by h^s is F_p-linear on digit vectors; column i of its
-    matrix holds the digits of h^s * x^i, so h^s .. h^(2s-1) are that matrix
-    times the digits of h^0 .. h^(s-1), mod p.  Entries stay below
-    n (p-1)^2 and indices below q; FieldCtx bounds both by 2^63.
+    matrix holds the digits of h^s * x^i, so the next s columns are that
+    matrix times the first s, mod p (h^s steps over s columns).  Entries
+    stay below n (p-1)^2 and indices below q; FieldCtx bounds both by 2^63.
     """
     p, n = field.p, field.n
     basis = [p ** i for i in range(n)]
-    digits = np.zeros((n, m), dtype=np.int64)
-    digits[0, 0] = 1
-    s = 1
+    digits = np.empty((n, m), dtype=np.int64)
+    s = 1 if block is None else block.shape[1]
+    digits[:, :s] = np.eye(n, 1, dtype=np.int64) if block is None else block
     while s < m:
         e = min(s, m - s)
         mat = np.array([field.decode(field.mul_idx(h, x)) for x in basis],

@@ -10,13 +10,16 @@ Floating point appears in exactly one place: IntPoly.real_roots isolates
 the roots of an exact polynomial with Sturm chains and bisects them on ints
 (every endpoint an integer numerator over lead * 2^j) to a requested
 tolerance, and only the final int / int division, correctly rounded, makes
-a float for display next to exact certificates.
+a float for display next to exact certificates.  (A float Newton guess
+only picks where the exact search starts; the result does not depend on it.)
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .errors import DimensionMismatch, InternalError
 
@@ -35,22 +38,29 @@ class IntMatrix:
         self.dim = d
         self.rows = rows
 
+    @classmethod
+    def _of(cls, rows):
+        """Unchecked: rows are fresh lists of len(rows) Python ints."""
+        m = cls.__new__(cls)
+        m.dim, m.rows = len(rows), rows
+        return m
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
 
     @classmethod
     def zeros(cls, d):
-        return cls([[0] * d for _ in range(d)])
+        return cls._of([[0] * d for _ in range(d)])
 
     @classmethod
     def identity(cls, d):
-        return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
+        return cls._of([[int(i == j) for j in range(d)] for i in range(d)])
 
     @classmethod
     def ones(cls, d):
         """The all-one matrix J_d."""
-        return cls([[1] * d for _ in range(d)])
+        return cls._of([[1] * d for _ in range(d)])
 
     @classmethod
     def elementary(cls, d, s, t):
@@ -75,9 +85,6 @@ class IntMatrix:
     # basics
     # ------------------------------------------------------------------
 
-    def copy(self):
-        return IntMatrix(self.rows)
-
     def __getitem__(self, key):
         i, j = key
         return self.rows[i][j]
@@ -95,24 +102,23 @@ class IntMatrix:
 
     def __add__(self, other):
         self._conformable(other)
-        return IntMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
+        return IntMatrix._of([[a + b for a, b in zip(ra, rb)]
+                              for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         self._conformable(other)
-        return IntMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
+        return IntMatrix._of([[a - b for a, b in zip(ra, rb)]
+                              for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return IntMatrix([[-a for a in row] for row in self.rows])
+        return IntMatrix._of([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             self._conformable(other)
-            d = self.dim
-            bt = other.transpose().rows
-            return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in bt]
-                              for row in self.rows])
+            cols = list(zip(*other.rows))
+            return IntMatrix._of([[sum(map(mul, row, col)) for col in cols]
+                                  for row in self.rows])
         if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
@@ -136,11 +142,10 @@ class IntMatrix:
 
     def scale(self, c):
         c = int(c)
-        return IntMatrix([[c * a for a in row] for row in self.rows])
+        return IntMatrix._of([[c * a for a in row] for row in self.rows])
 
     def transpose(self):
-        d = self.dim
-        return IntMatrix([[self.rows[j][i] for j in range(d)] for i in range(d)])
+        return IntMatrix._of([list(col) for col in zip(*self.rows)])
 
     def trace(self):
         return sum(self.rows[i][i] for i in range(self.dim))
@@ -161,11 +166,17 @@ class IntMatrix:
             raise DimensionMismatch("minor needs dim >= 2")
         r %= d
         c %= d
-        return IntMatrix([[self.rows[i][j] for j in range(d) if j != c]
-                          for i in range(d) if i != r])
+        return IntMatrix._of([row[:c] + row[c + 1:]
+                              for i, row in enumerate(self.rows) if i != r])
 
     def to_lists(self):
         return [row[:] for row in self.rows]
+
+    def _add_to_diagonal(self, c):
+        # self + c I in place: only for a fresh result no one else holds
+        for i, row in enumerate(self.rows):
+            row[i] += c
+        return self
 
     def _conformable(self, other):
         if not isinstance(other, IntMatrix) or other.dim != self.dim:
@@ -235,15 +246,14 @@ class IntMatrix:
         d = self.dim
         coeffs = [0] * (d + 1)
         coeffs[d] = 1
-        ident = IntMatrix.identity(d)
-        am = None
+        m = IntMatrix.identity(d)
         for k in range(1, d + 1):
-            m = ident if k == 1 else am + coeffs[d - k + 1] * ident
             am = self * m
             t = am.trace()
             if t % k:
                 raise InternalError("Faddeev-LeVerrier division must be exact")
             coeffs[d - k] = -(t // k)
+            m = am._add_to_diagonal(coeffs[d - k])
         return IntPoly(coeffs)
 
 
@@ -261,10 +271,6 @@ class IntPoly:
     @classmethod
     def x(cls):
         return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
 
     @property
     def degree(self):
@@ -351,11 +357,9 @@ class IntPoly:
         """Evaluate at a square IntMatrix by Horner; x^0 maps to the identity."""
         if not isinstance(m, IntMatrix):
             raise DimensionMismatch("at_matrix needs an IntMatrix")
-        d = m.dim
-        acc = IntMatrix.zeros(d)
-        ident = IntMatrix.identity(d)
+        acc = IntMatrix.zeros(m.dim)
         for c in reversed(self.coeffs):
-            acc = acc * m + c * ident
+            acc = (acc * m)._add_to_diagonal(c)
         return acc
 
     # ------------------------------------------------------------------
@@ -400,11 +404,10 @@ class IntPoly:
         rational roots hit exactly by a bisection midpoint are returned
         exactly.  Endpoints are exact (int numerator over lead * 2^j).
         """
-        tol = Fraction(tol).limit_denominator(10 ** 18)
+        tol_num, tol_den = _tolerance_ratio(tol)
         out = []
         for factor, mult in self.squarefree_decomposition():
-            for r in _squarefree_real_roots(factor, tol.numerator,
-                                            tol.denominator):
+            for r in _squarefree_real_roots(factor, tol_num, tol_den):
                 out.append((r, mult))
         out.sort(key=lambda t: t[0])
         return out
@@ -413,6 +416,12 @@ class IntPoly:
 # ----------------------------------------------------------------------
 # integer polynomial helpers (internal; coefficient lists low-to-high)
 # ----------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _tolerance_ratio(tol):
+    tol = Fraction(tol).limit_denominator(10 ** 18)
+    return tol.numerator, tol.denominator
+
 
 def _trim(c):
     while c and c[-1] == 0:
@@ -554,20 +563,47 @@ def _squarefree_real_roots(poly, tol_num, tol_den):
 
 
 def _bisect_root(c, a, b, d, tol_num, tol_den):
-    # (a/d, b/d] holds exactly one simple root; endpoints are not roots
+    # (a/d, b/d] holds exactly one simple root; endpoints are not roots.
+    # Halving it to the tolerance takes j steps and ends in the cell (t-1, t]
+    # of the grid a/d + t (b - a)/(d 2^j) that holds the root, or at the root
+    # if a midpoint hits it; t is found by exact signs at grid points,
+    # galloping out from a float guess.
     fa = _value_at(c, a, d)
     fb = _value_at(c, b, d)
     if fb == 0:
         return b / d
     if (fa > 0) == (fb > 0):
         raise InternalError("bracketing interval must change sign")
-    while (b - a) * tol_den > tol_num * d:
-        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
-        fm = _value_at(c, m, d)
-        if fm == 0:
-            return m / d
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b = m
-    return (a + b) / (2 * d)
+    w = b - a
+    j = (-(-w * tol_den // (tol_num * d)) - 1).bit_length()
+    t, step, lo, hi = _grid_guess(c, a, b, d, j), 1, 0, 1 << j
+    a, d = a << j, d << j
+
+    def left(t):  # grid point t lies left of the root
+        v = _value_at(c, a + t * w, d)
+        return v != 0 and (v > 0) == (fa > 0)
+
+    while lo < t < hi:
+        lo, hi, t = (t, hi, t + step) if left(t) else (lo, t, t - step)
+        step *= 2
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        lo, hi = (m, hi) if left(m) else (lo, m)
+    end = a + hi * w
+    return end / d if _value_at(c, end, d) == 0 else (2 * end - w) / (2 * d)
+
+
+def _grid_guess(c, a, b, d, j):
+    # index on the grid of 2^j cells of (a/d, b/d] nearest the root there
+    # that float Newton steps from the middle reach, or 0 if they fail
+    try:
+        lo, hi = a / d, b / d
+        x = (lo + hi) / 2
+        for _ in range(12):
+            f = df = 0.0
+            for v in reversed(c):
+                f, df = f * x + v, df * x + f
+            x -= f / df
+        return round((x - lo) / (hi - lo) * 2 ** j) if lo < x <= hi else 0
+    except (OverflowError, ZeroDivisionError):
+        return 0

@@ -66,18 +66,21 @@ class VerifySuiteResult:
 
 def jsonable(x):
     """Recursively convert a payload into JSON-serializable primitives."""
-    if isinstance(x, bool) or x is None or isinstance(x, (str, float)):
+    t = type(x)      # exact types before isinstance; bool is not int here
+    if t is str or t is bool or x is None or t is float:
         return x
-    if isinstance(x, int):
+    if t is int or isinstance(x, int):
         return x if -SAFE_INT < x < SAFE_INT else str(x)
+    if t is dict or isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if t is list or isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (str, float)):
+        return x
     if isinstance(x, IntMatrix):
         return matrix_to_obj(x)
     if isinstance(x, IntPoly):
         return poly_to_obj(x)
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
     if hasattr(x, "to_obj"):
         return jsonable(x.to_obj())
     raise TypeError("cannot serialize %r" % type(x))

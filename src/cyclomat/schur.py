@@ -89,20 +89,21 @@ def _class_products(ctx):
     (index 0 in no class).  Refusals raise here, before any allocation."""
     from numpy import fft
 
-    field, ell, q = ctx.field, ctx.ell, ctx.q
+    field, ell, q, cls = ctx.field, ctx.ell, ctx.q, ctx.classes
     why = _convolution_refusal(ctx)
     if why is not None:
         raise ContextTooLarge(why)
     shape, axes = (field.p,) * field.n, tuple(range(1, field.n + 1))
     # about eight (step, q) arrays of 8-byte words are live at once
     step = max(1, ARRAY_BUDGET_BYTES // (64 * q))
-    cls = field.dlog % ell
-    cls[0] = -1                                  # index 0 is in no class
-    spec0 = fft.rfftn((cls == 0).reshape(shape))
+    ind0 = cls == 0
+    ind0[0] = False                              # index 0 is in no class
+    spec0 = fft.rfftn(ind0.reshape(shape))
 
     def slices():
         for start in range(0, ell, step):
             ind = cls == np.arange(start, min(start + step, ell))[:, None]
+            ind[:, 0] = False
             raw = fft.irfftn(fft.rfftn(ind.reshape((-1,) + shape), axes=axes)
                              * spec0, s=shape, axes=axes).reshape(-1, q)
             out = np.rint(raw)
@@ -143,7 +144,7 @@ def verify_structure_constants(ctx):
     order is (0, -u) for the failing u that minimizes -u mod ell."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
     products = _class_products(ctx)
-    cls = ctx.field.dlog % ell
+    cls = ctx.classes
     tab = np.array(ctx.table, dtype=np.int64)
     want0 = np.where((np.arange(ell) - qp) % ell == 0, k, 0)
     bad = np.zeros(ell, dtype=bool)

@@ -60,3 +60,10 @@ def test_parallel_search_stdout_matches_reference():
     argv = list(entry["argv"])
     argv[argv.index("--jobs") + 1] = "2"
     assert _search_digest(argv) == entry["stdout_sha256"]
+
+
+def test_parallel_hits_stdout_matches_reference():
+    entry = _search_entry("hits_ell2")
+    argv = list(entry["argv"])
+    argv[argv.index("--jobs") + 1] = "2"
+    assert _search_digest(argv) == entry["stdout_sha256"]

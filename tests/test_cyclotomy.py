@@ -1,9 +1,12 @@
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import (
+    ContextTooLarge,
     CycloCtx,
     EllTooSmall,
     IntMatrix,
@@ -15,6 +18,11 @@ from cyclomat import (
     table_by_set_enumeration,
     verify_elementary_laws,
 )
+
+from cyclomat import field as field_module
+from cyclomat.cli import main as cli_main
+from cyclomat.cyclotomy import TABLE_ENTRY_BYTES
+from cyclomat.diffset import lehmer_screen
 
 import reference_data as ref
 from conftest import field_of
@@ -212,3 +220,41 @@ def test_table_matches_set_enumeration_property(pn, data):
         ell = data.draw(st.sampled_from(
             [d for d in range(1, q) if (q - 1) % d == 0]))
     assert CycloCtx(field, ell).table == table_by_set_enumeration(field, ell)
+
+
+def test_table_guard_boundary(monkeypatch):
+    # the ell x ell table needs TABLE_ENTRY_BYTES per entry: refused one
+    # byte past the budget, admitted at it (the classes need far less)
+    field = build_field(73)
+    need = TABLE_ENTRY_BYTES * 8 * 8
+    monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", need - 1)
+    with pytest.raises(ContextTooLarge):
+        CycloCtx(field, 8)
+    monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", need)
+    assert CycloCtx(field, 8).table == ref.A_73_L8
+    monkeypatch.undo()
+    budget = field_module.TABLE_BUDGET_BYTES
+    assert TABLE_ENTRY_BYTES * 4729 ** 2 <= budget < TABLE_ENTRY_BYTES * 4730 ** 2
+
+
+def test_context_guards_refuse_without_allocating():
+    # each refused value would need gigabytes (the 999982^2 table alone
+    # 7.28 TiB of counts): refused before anything is allocated
+    fields = [build_field(999983), build_field(100003),
+              build_field(1000000007)]
+    tracemalloc.start()
+    try:
+        for field, ell in zip(fields, (999982, 50001, 2)):
+            with pytest.raises(ContextTooLarge):
+                CycloCtx(field, ell)
+        with pytest.raises(ContextTooLarge):
+            lehmer_screen(fields[2], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for p, ell in (("999983", "999982"), ("100003", "50001")):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli_main(["compute", "--p", p, "--ell", ell], out=out, err=err)
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("cyclo: error: ContextTooLarge: ")

@@ -1,10 +1,13 @@
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from cyclomat import DimensionMismatch, IntMatrix, IntPoly
+from cyclomat.intmat import _squarefree_real_roots, _tolerance_ratio
 
 from reference_data import A_131_L10, A_37_L4, CHARPOLY_A_37_L4, S_73_L8
 
@@ -183,3 +186,46 @@ def test_real_roots_of_reference_charpoly():
     for (r, m), (er, em) in zip(roots, expected):
         assert m == em
         assert abs(r - er) < 1e-11
+
+
+def test_public_constructor_checks_and_results_are_fresh_ints():
+    with pytest.raises(DimensionMismatch):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix([[1], [2]])
+    m = IntMatrix(np.array([[1, 2], [3, 4]], dtype=np.int64))
+    assert m.rows == [[1, 2], [3, 4]]
+    assert all(type(v) is int for row in m.rows for v in row)
+    # results are built without the check: each must still hold fresh rows
+    # of Python ints of the right length, and leave the operands alone
+    a = IntMatrix([[1, 2], [3, 4]])
+    results = [a + a, a - a, -a, a.scale(np.int64(3)), 3 * a, a.transpose(),
+               a * a, a.minor(0, 0), a ** 3, IntPoly([1, 2, 1]).at_matrix(a),
+               IntMatrix.identity(2), IntMatrix.ones(2)]
+    for r in results:
+        assert len(r.rows) == r.dim
+        assert all(len(row) == r.dim for row in r.rows)
+        assert all(type(v) is int for row in r.rows for v in row)
+        assert not any(row is arow for row in r.rows for arow in a.rows)
+    assert a * a == IntMatrix([[7, 10], [15, 22]])
+    assert IntPoly([5]).at_matrix(a) == 5 * IntMatrix.identity(2)
+    assert IntPoly([1, 2, 1]).at_matrix(a) == a * a + 2 * a \
+        + IntMatrix.identity(2)
+    assert a.charpoly() == IntPoly([-2, -5, 1])
+    assert a.rows == [[1, 2], [3, 4]]
+
+
+def test_real_roots_converts_each_tolerance_once():
+    x = IntPoly.x()
+    p = (x * x - 2) * (x * x - 3 * x + 1) * (x - 5)
+    tol = 3.7e-10                        # a tolerance no other test uses
+    before = _tolerance_ratio.cache_info()
+    first = p.real_roots(tol)
+    assert p.real_roots(tol) == first
+    after = _tolerance_ratio.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    # bit-identical to converting the tolerance on every call
+    f = Fraction(tol).limit_denominator(10 ** 18)
+    direct = [(r, m) for fac, m in p.squarefree_decomposition()
+              for r in _squarefree_real_roots(fac, f.numerator, f.denominator)]
+    assert first == sorted(direct)

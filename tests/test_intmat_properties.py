@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import IntMatrix, IntPoly
+from cyclomat import intmat
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -200,6 +201,38 @@ def test_stop_rule_at_an_exact_tolerance(coeffs):
         got = poly.real_roots(tol)
         want = [(r, 1) for r in reference_roots(coeffs, tol)]
         assert hexed(got) == hexed(want)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [2500001, -5000003, 1],            # a hit's M at q near 10^7: big roots
+    [-(10 ** 400), 0, 1],              # coefficients past float range
+    [3, -4, 1, 0, 0, 0, 0, 0, 1],      # degree 8, roots near 0.8 and 1
+    [-(2 ** 61) - 1, 0, 2 ** 61],      # a root just above 1, far below tol
+])
+def test_real_roots_far_from_the_float_guess(coeffs):
+    # the grid search starts from a float guess that is off by many cells,
+    # or absent; the roots must still be the bisection's, bit for bit
+    poly = IntPoly(coeffs)
+    for tol in (1e-12, 1e-9):
+        want = []
+        for f, m in poly.squarefree_decomposition():
+            want += [(r, m) for r in reference_roots(f.coeffs, tol)]
+        assert hexed(poly.real_roots(tol)) == hexed(want)
+
+
+@settings(max_examples=60, deadline=None)
+@example(poly=EXAMPLES[2], shift=1)
+@example(poly=EXAMPLES[6], shift=-3)
+@given(poly=polys, shift=st.integers(-(2 ** 40), 2 ** 40))
+def test_real_roots_do_not_depend_on_the_float_guess(poly, shift):
+    want = poly.real_roots()
+    guess = intmat._grid_guess
+    try:
+        intmat._grid_guess = lambda *args: guess(*args) + shift
+        got = poly.real_roots()
+    finally:
+        intmat._grid_guess = guess
+    assert hexed(got) == hexed(want)
 
 
 matrices = st.integers(1, 6).flatmap(

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cyclomat import IntMatrix, IntPoly
@@ -64,6 +65,24 @@ def test_jsonable_int_threshold():
     assert jsonable(2 ** 53) == str(2 ** 53)
     assert jsonable(-(2 ** 53)) == str(-(2 ** 53))
     assert jsonable({"x": (1, 2)}) == {"x": [1, 2]}
+
+
+def test_jsonable_exact_types_then_subclasses():
+    class Wide(int):
+        pass
+
+    payload = {"b": True, "f": False, "n": None, "s": "x", "x": 0.5,
+               "big": 2 ** 60, "t": (1, Wide(2 ** 60), Wide(7)),
+               3: [np.float64(0.25), IntPoly([1, 2])]}
+    out = jsonable(payload)
+    assert out == {"b": True, "f": False, "n": None, "s": "x", "x": 0.5,
+                   "big": str(2 ** 60), "t": [1, str(2 ** 60), 7],
+                   "3": [0.25, ["1", "2"]]}
+    assert type(out["b"]) is bool and type(out["f"]) is bool
+    assert dumps(payload, compact=True) == (
+        '{"3":[0.25,["1","2"]],"b":true,"big":"1152921504606846976",'
+        '"f":false,"n":null,"s":"x","t":[1,"1152921504606846976",7],'
+        '"x":0.5}')
 
 
 def test_to_obj_is_exact_and_dumps_encodes():

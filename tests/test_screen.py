@@ -1,18 +1,24 @@
 """The search screen on K alone, the one class-count route it shares with
-the bruteforce and modified detectors, and the lazy power/dlog tables."""
+the bruteforce and modified detectors, the classes built from K's cosets,
+and the lazy power/dlog tables."""
+
+import time
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import CycloCtx, FieldCtx, as_odd_prime_power, build_field
-from cyclomat import diffset, search
+from cyclomat import diffset, iter_search, search
 from cyclomat.diffset import (
+    SEARCH_MAX_Q,
     _difference_counts_by_class,
     _difference_counts_literal,
     is_diffset_lehmer,
     lehmer_screen,
 )
 from cyclomat.field import is_prime, power_digits
+from cyclomat.schur import verify_structure_constants
 
 from conftest import field_of
 
@@ -122,7 +128,8 @@ def test_search_builds_tables_only_for_hits(monkeypatch):
 
     monkeypatch.setattr(FieldCtx, "_build_tables", counted)
     assert [r.q for r in search(4, 2000)] == [37, 101, 197, 677]
-    assert built == [37, 101, 197, 677]
+    # hits take their classes from the screen's cosets of K
+    assert built == []
 
 
 def test_search_reuses_screen_counts(monkeypatch):
@@ -159,3 +166,75 @@ def test_field_builds_tables_lazily(monkeypatch):
     assert field.dlog[int(pows[5])] == 5 and field.pows is pows
     assert built == [343]
     assert isinstance(pows, np.ndarray) and pows.dtype == np.int64
+
+
+@st.composite
+def _field_and_any_ell(draw):
+    """(p, n, ell): a random small prime or extension field and any ell >= 1
+    dividing q - 1."""
+    p, n = draw(st.one_of(
+        st.integers(3, 1500).filter(is_prime).map(lambda p: (p, 1)),
+        st.sampled_from([f for f in SMALL_FIELDS if f[1] > 1])))
+    q = p ** n
+    return p, n, draw(st.sampled_from([d for d in range(1, q)
+                                       if (q - 1) % d == 0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_and_any_ell())
+@example((3, 1, 1))     # p = 3, ell = 1: one class
+@example((3, 1, 2))     # p = 3, ell = q - 1
+@example((3, 4, 80))    # p = 3 extension, ell = q - 1: one element per class
+@example((13, 2, 1))    # extension, ell = 1
+@example((1009, 1, 1008))
+def test_classes_from_cosets_match_dlog(case):
+    # the production classes (K's digits carried to each coset by doubling,
+    # then one scatter) against the discrete-log table, the oracle route
+    p, n, ell = case
+    field = build_field(p, n)
+    ctx = CycloCtx(field, ell)
+    assert ctx.classes.shape == (field.q,) and ctx.classes.dtype == np.int64
+    assert ctx.classes[0] == 0
+    assert (ctx.classes[1:] == field.dlog[1:] % ell).all()
+
+
+def test_classes_and_subgroup_digits_are_read_only():
+    field = build_field(7, 3)
+    ctx = CycloCtx(field, 6)
+    k_digits = field.subgroup_digits(6)
+    assert field.subgroup_digits(6) is k_digits      # memoised per ell
+    assert k_digits.shape == (3, 57)
+    for arr in (ctx.classes, k_digits):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[..., 1] = 0
+    classes, digits = ctx.classes.copy(), k_digits.copy()
+    assert verify_structure_constants(ctx).passed
+    assert lehmer_screen(field, 6) is None
+    _difference_counts_by_class(field, 6, with_zero=True)
+    assert (ctx.classes == classes).all() and (k_digits == digits).all()
+
+
+def test_parallel_search_streams_first_hit(monkeypatch):
+    # a bounded window of chunks: the first hit arrives after a few chunks
+    # of candidates are drawn, not after the whole range up to 10^7
+    drawn = []
+    powers = diffset.iter_odd_prime_powers
+
+    def counted(*args):
+        for candidate in powers(*args):
+            drawn.append(candidate[0])
+            yield candidate
+
+    monkeypatch.setattr(diffset, "iter_odd_prime_powers", counted)
+    start = time.perf_counter()
+    hits = iter_search(4, SEARCH_MAX_Q, jobs=2)
+    try:
+        first = next(hits)
+    except (OSError, PermissionError):
+        pytest.skip("process pool unavailable in sandbox")
+    finally:
+        hits.close()              # cancels the chunks not yet started
+    assert first.q == 37
+    assert drawn[:2] == [5, 37] and len(drawn) <= 8 * (2 * 2 + 1)
+    assert time.perf_counter() - start < 60
