@@ -40,7 +40,7 @@ from .errors import (
     NotADifferenceSet,
     RangeTooLarge,
 )
-from .field import build_field, is_prime
+from .field import build_field, factorize, is_prime
 from .intmat import IntMatrix, IntPoly
 from .report import VerifySuiteResult
 
@@ -675,9 +675,43 @@ def _search_one(args):
 def passes_prefilter(q, ell):
     """Lehmer's necessary conditions for K to be a difference set: k odd and
     ell | k - 1, with k = (q - 1) / ell.  For even ell this is
-    q = ell + 1 (mod ell^2); for odd ell no odd q passes."""
+    q = ell + 1 (mod ell^2); for odd ell no odd q passes.
+
+    Search steps through exactly this class and then applies passes_mann,
+    which needs the characteristic p of F_q as well as q, before it builds
+    a field."""
     k, r = divmod(q - 1, ell)
     return r == 0 and k % 2 == 1 and (k - 1) % ell == 0
+
+
+def is_self_conjugate(r, w):
+    """Whether r^j = -1 (mod w) for some j, for an odd prime w: exactly when
+    r is a unit of even order mod w, as F_w^* is cyclic and -1 is its one
+    element of order two.  With w - 1 = 2^s m and m odd, the order is even
+    exactly when r^m != 1 (mod w): one pow."""
+    m = (w - 1) // ((w - 1) & (1 - w))      # w - 1 over its power of two
+    return r % w != 0 and pow(r, m, w) != 1
+
+
+def passes_mann(q, p, ell):
+    """Mann's self-conjugacy test for K in F_q, q = p^n, on a q that passes
+    Lehmer's conditions: False when it proves K is no difference set.
+
+    Theorem (Mann, Illinois J. Math. 8 (1964); Baumert, *Cyclic Difference
+    Sets*, LNM 182 (1971); Lander, *Symmetric Designs: An Algebraic
+    Approach* (1983), ch. 4).  Let D be an abelian (v, k, lambda)
+    difference set with n = k - lambda, in a group of exponent v*.  Let r
+    be a prime with r^j = -1 (mod v*) for some j.  Then the exact power of
+    r that divides n is even.
+
+    K lives in (F_q, +), elementary abelian of exponent v* = p: v* = q for
+    a prime field and v* = p for an extension field.  So K is ruled out
+    when some prime r divides n = k - (k - 1)/ell to an odd power and
+    is_self_conjugate(r, p).  No field is needed: one factorization of n
+    and one pow per odd-power prime factor."""
+    k = (q - 1) // ell
+    n = k - (k - 1) // ell
+    return not any(e % 2 and is_self_conjugate(r, p) for r, e in factorize(n))
 
 
 def worker_count(jobs):
@@ -695,11 +729,14 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
     Bad arguments raise here, when iter_search is called.  Candidates then
     stream through the class passes_prefilter admits, q = ell + 1
     (mod ell^2) (none for odd ell), so with one worker the first hit comes
-    before the rest of the range is enumerated.  Their fields build no
-    table: lehmer_screen decides on K alone.  Only a hit gets the power/dlog
-    tables, a cyclotomic table and the full report (all four detectors and
-    the certificate battery, recording whether q is prime and whether k is
-    a perfect square)."""
+    before the rest of the range is enumerated.  Mann's self-conjugacy test
+    (passes_mann, with v* = p, the characteristic, for prime and extension
+    fields alike) drops the q it proves are no difference set before any
+    field is built or any worker sees them.  The fields of the rest build no
+    table: lehmer_screen decides on K alone.  Only a hit gets a cyclotomic
+    table and the full report (all four detectors and the certificate
+    battery, recording whether q is prime and whether k is a perfect
+    square)."""
     if ell < 2:
         raise EllOne("search needs ell >= 2")
     if max_q > SEARCH_MAX_Q:
@@ -710,7 +747,7 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
     first += (ell + 1 - first) % step
     powers = iter_odd_prime_powers(first, max_q, step) if ell % 2 == 0 else ()
     candidates = ((q, p, n, ell) for q, p, n in powers
-                  if n == 1 or not prime_only)
+                  if (n == 1 or not prime_only) and passes_mann(q, p, ell))
     return _iter_hits(candidates, workers)
 
 

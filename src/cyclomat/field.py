@@ -464,23 +464,28 @@ def power_digits(field, h, m, block=None):
     """Digit vectors of h^0 .. h^(m-1) in ``field``, an int64 (n, m) array;
     given an (n, w) digit ``block``, column j w + c is h^j times its column c.
 
-    Multiplication by h^s is F_p-linear on digit vectors; column i of its
-    matrix holds the digits of h^s * x^i, so the next s columns are that
-    matrix times the first s, mod p (h^s steps over s columns).  Entries
-    stay below n (p-1)^2 and indices below q; FieldCtx bounds both by 2^63.
+    Multiplication by h is F_p-linear on digit vectors; column i of its
+    matrix holds the digits of h * x^i.  Each step appends that matrix
+    times the columns so far, mod p, then squares the matrix mod p, so it
+    multiplies by h^2 at the next step, where the columns double.  Products
+    and their sums stay below n (p-1)^2 and indices below q; FieldCtx
+    bounds both by 2^63.
     """
     p, n = field.p, field.n
-    basis = [p ** i for i in range(n)]
     digits = np.empty((n, m), dtype=np.int64)
     s = 1 if block is None else block.shape[1]
     digits[:, :s] = np.eye(n, 1, dtype=np.int64) if block is None else block
+    mat = np.array([field.decode(field.mul_idx(h, p ** i)) for i in range(n)],
+                   dtype=np.int64).T
     while s < m:
         e = min(s, m - s)
-        mat = np.array([field.decode(field.mul_idx(h, x)) for x in basis],
-                       dtype=np.int64).T
-        np.matmul(mat, digits[:, :e], out=digits[:, s:s + e])
-        np.mod(digits[:, s:s + e], p, out=digits[:, s:s + e])
-        s, h = s + e, field.mul_idx(h, h)
+        out = digits[:, s:s + e]
+        np.matmul(mat, digits[:, :e], out=out)
+        np.mod(out, p, out=out)
+        s += e
+        if s < m:
+            mat = np.matmul(mat, mat)
+            np.mod(mat, p, out=mat)
     return digits
 
 

@@ -103,28 +103,14 @@ def matrix_to_obj(m):
     return [[str(v) for v in row] for row in m.rows]
 
 
-def matrix_from_obj(obj):
-    return IntMatrix([[int(s) for s in row] for row in obj])
-
-
 def poly_to_obj(poly):
     """JSON form: decimal-string coefficients, low degree first."""
     return [str(c) for c in poly.coeffs]
 
 
-def poly_from_obj(obj):
-    return IntPoly([int(s) for s in obj])
-
-
 def matrix_to_csv(m):
     """RFC 4180 rows of decimal integers (CRLF line endings)."""
     return "".join(",".join(str(v) for v in row) + "\r\n" for row in m.rows)
-
-
-def matrix_from_csv(text):
-    rows = [line.split(",") for line in text.replace("\r\n", "\n").split("\n")
-            if line]
-    return IntMatrix([[int(v) for v in row] for row in rows])
 
 
 def matrix_pretty(m, label=None):

@@ -21,8 +21,8 @@ an automorphism of (F_q, +) that sends alpha_j to alpha_(j-v), so it carries
 alpha_i alpha_v onto alpha_(i-v) alpha_0: the ell products alpha_u alpha_0
 decide all ell^2 pairs.  They are formed over slices of u (one rfftn and one
 inverse per class), rounded; a residual of 1/4 or more raises InternalError.
-Past q = MAX_CONVOLUTION_Q or SPECTRA_BUDGET_BYTES of spectra it raises
-ContextTooLarge before allocating.
+Past q = MAX_CONVOLUTION_Q or SPECTRA_BUDGET_BYTES of spectra live at once
+it raises ContextTooLarge before allocating.
 
 Matrix laws are tensor laws over S[v] = A_v and C[u, v, w] = (u-v+s, w-v),
 checked one u-block at a time up to the first failing (u, v) in row-major
@@ -44,8 +44,9 @@ from .intmat import IntMatrix
 from .report import VerifySuiteResult
 
 MAX_CONVOLUTION_Q = 10 ** 5
-# Bytes of the ell class spectra taken together, and of the arrays a
-# verifier works on at once (a slice of u, a chunk of quadruples, a u-block).
+# Bytes of the class spectra live at once (K's, a slice's and its product
+# with K's), and of the arrays a verifier works on at once (a slice of u, a
+# chunk of quadruples, a u-block).
 SPECTRA_BUDGET_BYTES = 1 << 28
 ARRAY_BUDGET_BYTES = 1 << 26
 EXHAUSTIVE_QUADRUPLE_LIMIT = 12
@@ -69,14 +70,22 @@ def regular_rep(ctx, v):
 # group-ring level
 # ----------------------------------------------------------------------
 
+def _slice_width(ctx):
+    """Classes per slice of _class_products: about eight (width, q) arrays
+    of 8-byte words are live at once, within ARRAY_BUDGET_BYTES."""
+    return min(ctx.ell, max(1, ARRAY_BUDGET_BYTES // (64 * ctx.q)))
+
+
 def _convolution_refusal(ctx):
     """Why the group-ring convolution refuses ctx, or None: past q =
-    MAX_CONVOLUTION_Q, or when the ell class spectra would take more than
-    SPECTRA_BUDGET_BYTES (8 ell (q + q/p) bytes) together, although only a
-    slice of them is live at once."""
+    MAX_CONVOLUTION_Q, or when the spectra live at once would take more than
+    SPECTRA_BUDGET_BYTES.  Each spectrum is 8 (q + q/p) bytes; K's stays
+    live, beside a slice's and their product, so 2 w + 1 of them for a
+    slice of w classes."""
     if ctx.q > MAX_CONVOLUTION_Q:
         return "group-ring convolution guarded at q <= %d" % MAX_CONVOLUTION_Q
-    if 8 * ctx.ell * (ctx.q + ctx.q // ctx.field.p) > SPECTRA_BUDGET_BYTES:
+    live = 8 * (2 * _slice_width(ctx) + 1) * (ctx.q + ctx.q // ctx.field.p)
+    if live > SPECTRA_BUDGET_BYTES:
         return "class spectra at ell=%d, q=%d are past %d bytes" % (
             ctx.ell, ctx.q, SPECTRA_BUDGET_BYTES)
     return None
@@ -94,8 +103,7 @@ def _class_products(ctx):
     if why is not None:
         raise ContextTooLarge(why)
     shape, axes = (field.p,) * field.n, tuple(range(1, field.n + 1))
-    # about eight (step, q) arrays of 8-byte words are live at once
-    step = max(1, ARRAY_BUDGET_BYTES // (64 * q))
+    step = _slice_width(ctx)
     ind0 = cls == 0
     ind0[0] = False                              # index 0 is in no class
     spec0 = fft.rfftn(ind0.reshape(shape))

@@ -2,6 +2,7 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclomat import (
     ContextTooLarge,
@@ -33,8 +34,11 @@ from cyclomat import diffset
 from cyclomat.cli import main
 from cyclomat.diffset import (
     SEARCH_MAX_Q,
+    is_self_conjugate,
     iter_odd_prime_powers,
     iter_search,
+    lehmer_screen,
+    passes_mann,
     worker_count,
 )
 
@@ -362,15 +366,27 @@ def test_search_screens_only_prefiltered_candidates(monkeypatch):
     assert search(3, 1000) == [] and seen == []  # odd ell: nothing to build
 
 
+def _mann_by_sympy(q, p, ell):
+    # Mann's test from sympy's factorint and n_order: every prime r that
+    # divides n = k - lambda to an odd power has odd order mod v* = p
+    from sympy import factorint, n_order
+
+    k = (q - 1) // ell
+    n = k - (k - 1) // ell
+    return all(e % 2 == 0 or n_order(r, p) % 2 == 1
+               for r, e in factorint(n).items())
+
+
 def _candidates_by_rule(ell, max_q, min_q, prime_only):
     # q by q: every q = 1 (mod ell) in range that passes the prefilter and
-    # is an odd prime power
+    # Mann's test and is an odd prime power
     first = max(3, min_q)
     out = []
     for q in range(first + (1 - first) % ell, max_q + 1, ell):
         pn = as_odd_prime_power(q)
         if passes_prefilter(q, ell) and pn is not None \
-                and not (prime_only and pn[1] != 1):
+                and not (prime_only and pn[1] != 1) \
+                and _mann_by_sympy(q, pn[0], ell):
             out.append((q, pn[0], pn[1], ell))
     return out
 
@@ -440,6 +456,51 @@ def test_prefilter_rejects_only_non_hits():
             if q not in fields:
                 fields[q] = build_field(*pn)
             assert not is_diffset_lehmer(CycloCtx(fields[q], ell)), (q, ell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 999982), st.integers(1, 10 ** 7))
+def test_self_conjugacy_is_even_order(w, r):
+    from sympy import n_order, nextprime
+
+    w = nextprime(w)                     # an odd prime below 10^6
+    if r % w == 0:
+        assert not is_self_conjugate(r, w)
+    else:
+        assert is_self_conjugate(r, w) == (n_order(r, w) % 2 == 0)
+    assert is_self_conjugate(w - 1, w) and not is_self_conjugate(1, w)
+
+
+def test_mann_keeps_every_classical_hit():
+    from sympy import isprime, primerange
+
+    paley = [q for q in primerange(3, 10 ** 6) if q % 4 == 3]
+    assert len(paley) == 39322
+    assert all(passes_mann(q, q, 2) for q in paley)
+    chowla = [4 * t * t + 1 for t in range(1, 1582, 2)
+              if isprime(4 * t * t + 1)]
+    assert chowla[:3] == [5, 37, 101] and chowla[-1] < 10 ** 7
+    assert all(passes_mann(q, q, 4) for q in chowla)
+    # Lehmer's octic sets: q = 8a^2 + 1 = 64b^2 + 9 with a, b odd
+    octic = [q for q in (8 * a * a + 1 for a in range(1, 1119, 2))
+             if isprime(q) and math.isqrt((q - 9) // 64) % 2 == 1
+             and 64 * math.isqrt((q - 9) // 64) ** 2 + 9 == q]
+    assert octic == [73]
+    assert all(passes_mann(q, q, 8) for q in octic)
+
+
+def test_mann_rejects_only_failed_screens():
+    # below 3 10^4, every candidate Mann rejects fails the count screen
+    rejected = {2: [], 4: [], 8: []}
+    for ell, out in rejected.items():
+        for q, p, n in iter_odd_prime_powers(ell + 1, 3 * 10 ** 4, ell * ell):
+            if not passes_mann(q, p, ell):
+                out.append(q)
+                assert lehmer_screen(build_field(p, n), ell) is None, (q, ell)
+    # of 1643, 410 and 114 candidates; extension fields among them
+    assert [len(out) for out in rejected.values()] == [0, 291, 94]
+    assert {2197, 3125, 24389} <= set(rejected[4])
+    assert {3721, 15625, 24649, 26569} <= set(rejected[8])
 
 
 def test_worker_count_clamps_without_spawning(monkeypatch):

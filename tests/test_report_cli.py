@@ -12,16 +12,27 @@ from cyclomat.report import (
     VerifySuiteResult,
     dumps,
     jsonable,
-    matrix_from_csv,
-    matrix_from_obj,
     matrix_pretty,
     matrix_to_csv,
     matrix_to_obj,
-    poly_from_obj,
     poly_to_obj,
 )
 
 import reference_data as ref
+
+
+def matrix_from_obj(obj):
+    return IntMatrix([[int(s) for s in row] for row in obj])
+
+
+def poly_from_obj(obj):
+    return IntPoly([int(s) for s in obj])
+
+
+def matrix_from_csv(text):
+    rows = [line.split(",") for line in text.replace("\r\n", "\n").split("\n")
+            if line]
+    return IntMatrix([[int(v) for v in row] for row in rows])
 
 
 def run_cli(*argv):

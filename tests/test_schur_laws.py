@@ -334,8 +334,19 @@ def test_fft_kernel_matches_group_ring_product(fields, pn, data):
     assert [int(c) for c in counts] == [prod.coefficient(z) for z in range(q)]
 
 
-def test_convolution_budget_refuses_before_allocating():
+def _live_spectra_bytes(ctx, width):
+    # K's spectrum beside a slice's and their product: 2 width + 1
+    # spectra of 8 (q + q/p) bytes
+    return 8 * (2 * width + 1) * (ctx.q + ctx.q // ctx.field.p)
+
+
+def test_convolution_budget_refuses_before_allocating(monkeypatch):
+    # all 990 class spectra of F_99991 take 792 MB, but only K's and a
+    # slice of 10 classes are live at once: checked, not refused
     ctx = CycloCtx(build_field(99991), 990)
+    assert schur._convolution_refusal(ctx) is None
+    monkeypatch.setattr(schur, "SPECTRA_BUDGET_BYTES",
+                        _live_spectra_bytes(ctx, 10) - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ContextTooLarge):
@@ -345,12 +356,28 @@ def test_convolution_budget_refuses_before_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20                # the indicator stack is ~790 MB
+    assert peak < 1 << 20                # a slice's indicators are ~1 MB
 
 
-def test_convolution_spectra_budget_boundary():
-    # 128 class spectra of F_65537 take 67 MB, inside the budget; 512 do not
+def test_convolution_spectra_budget_boundary(monkeypatch):
+    # the refusal falls exactly at the live spectra of a slice: all 8
+    # classes of F_73, and 6 of F_343, whose spectra are 8 (q + q/p) bytes
+    for (p, n, ell), live in (((73, 1, 8), 8 * 17 * 74),
+                              ((7, 3, 6), 8 * 13 * 392)):
+        ctx = CycloCtx(build_field(p, n), ell)
+        assert _live_spectra_bytes(ctx, ell) == live
+        monkeypatch.setattr(schur, "SPECTRA_BUDGET_BYTES", live)
+        assert schur._convolution_refusal(ctx) is None
+        assert verify_structure_constants(ctx).passed
+        monkeypatch.setattr(schur, "SPECTRA_BUDGET_BYTES", live - 1)
+        assert "past %d bytes" % (live - 1) in schur._convolution_refusal(ctx)
+        with pytest.raises(ContextTooLarge):
+            verify_structure_constants(ctx)
+    monkeypatch.undo()
+    # all 128 class spectra of F_65537 take 67 MB, and all 512 would take
+    # 268 MB, past the budget; a slice of 15 is live at once in either
     field = build_field(65537)
+    assert schur._convolution_refusal(CycloCtx(field, 512)) is None
     ctx = CycloCtx(field, 128)
     assert schur._convolution_refusal(ctx) is None
     tracemalloc.start()
@@ -359,12 +386,10 @@ def test_convolution_spectra_budget_boundary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 128 * 65538 + schur.ARRAY_BUDGET_BYTES
+    assert peak < _live_spectra_bytes(ctx, 15) + schur.ARRAY_BUDGET_BYTES
     prod = class_sum(ctx, 3) * class_sum(ctx, 100)
     assert [int(c) for c in counts] == [prod.coefficient(z)
                                         for z in range(ctx.q)]
-    with pytest.raises(ContextTooLarge):
-        _class_convolution_counts(CycloCtx(field, 512), 0, 0)
 
 
 @pytest.mark.parametrize("spec", [(131, 1, 10), (7, 3, 6)])

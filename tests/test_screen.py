@@ -102,6 +102,21 @@ def test_screen_agrees_with_full_count_route(case):
             full[:stop + 1]
 
 
+def _power_digits_rebuilt(field, h, m, block=None):
+    # the doubling kernel with its step matrix rebuilt from h^s at each step
+    p, n = field.p, field.n
+    digits = np.empty((n, m), dtype=np.int64)
+    s = 1 if block is None else block.shape[1]
+    digits[:, :s] = np.eye(n, 1, dtype=np.int64) if block is None else block
+    while s < m:
+        e = min(s, m - s)
+        mat = np.array([field.decode(field.mul_idx(h, p ** i))
+                        for i in range(n)], dtype=np.int64).T
+        digits[:, s:s + e] = mat @ digits[:, :e] % p
+        s, h = s + e, field.mul_idx(h, h)
+    return digits
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_power_digits_of_any_element(data):
@@ -116,6 +131,16 @@ def test_power_digits_of_any_element(data):
     assert digits.shape == (n, m)
     assert field.encode_array(digits).tolist() == ref
     assert [field.decode(v) for v in ref] == [tuple(c) for c in digits.T]
+    # the squared step matrix is bit-identical to one rebuilt at each step
+    rebuilt = _power_digits_rebuilt(field, h, m)
+    assert rebuilt.dtype == digits.dtype and np.array_equal(rebuilt, digits)
+    # a block of the first w powers, stepped by h^w, gives the same columns
+    w = data.draw(st.integers(1, m))
+    hw = field.pow_idx(h, w)
+    block = power_digits(field, hw, m, block=digits[:, :w])
+    assert np.array_equal(block, digits)
+    assert np.array_equal(_power_digits_rebuilt(field, hw, m,
+                                                block=digits[:, :w]), digits)
 
 
 def test_search_builds_tables_only_for_hits(monkeypatch):
@@ -146,8 +171,9 @@ def test_search_reuses_screen_counts(monkeypatch):
     assert all(r.verdicts == {"bruteforce": True, "lehmer": True,
                               "sumsq": True, "gram": True} for r in reports)
     # one count per candidate q = 5 (mod 16), the screen's, reused by the
-    # bruteforce detector; q = 5 (k = 1) is rejected before any count
-    assert calls == [q for q in range(21, 401, 16) if as_odd_prime_power(q)]
+    # bruteforce detector; q = 5 (k = 1) is rejected before any count, and
+    # Mann's test drops 53, 149, 181, 277, 293 and 373 before their fields
+    assert calls == [37, 101, 197, 229, 389]
 
 
 def test_field_builds_tables_lazily(monkeypatch):
@@ -217,13 +243,14 @@ def test_classes_and_subgroup_digits_are_read_only():
 
 def test_parallel_search_streams_first_hit(monkeypatch):
     # a bounded window of chunks: the first hit arrives after a few chunks
-    # of candidates are drawn, not after the whole range up to 10^7
+    # of candidates are drawn, not after the whole range up to 10^7; the
+    # chunks hold the prime powers that pass Mann's test
     drawn = []
     powers = diffset.iter_odd_prime_powers
 
     def counted(*args):
         for candidate in powers(*args):
-            drawn.append(candidate[0])
+            drawn.append(candidate)
             yield candidate
 
     monkeypatch.setattr(diffset, "iter_odd_prime_powers", counted)
@@ -236,5 +263,6 @@ def test_parallel_search_streams_first_hit(monkeypatch):
     finally:
         hits.close()              # cancels the chunks not yet started
     assert first.q == 37
-    assert drawn[:2] == [5, 37] and len(drawn) <= 8 * (2 * 2 + 1)
+    kept = [q for q, p, _ in drawn if diffset.passes_mann(q, p, 4)]
+    assert kept[:2] == [5, 37] and len(kept) <= 8 * (2 * 2 + 1)
     assert time.perf_counter() - start < 60
