@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import __version__
 from .cyclotomy import CycloCtx, build_matrices
@@ -55,7 +56,13 @@ def _add_field_args(sub):
                      help="canonical index of a generator override")
 
 
+@cache
 def _build_parser():
+    """The one parser of every main call, built on the first.  parse_args
+    makes a fresh namespace each time and no argument keeps state, so one
+    parser serves any number of calls; building it takes longer than
+    parsing (the help formatters look up the terminal size and gettext
+    the locale files)."""
     parser = _Parser(prog="cyclo", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -337,6 +337,19 @@ def test_cli_determinism_byte_identical():
         assert first[0] == 0
 
 
+def test_cli_parser_is_built_once_and_keeps_no_state():
+    from cyclomat import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    qs = lambda out: [json.loads(line)["q"] for line in out.splitlines()]
+    argv = ("search", "--ell", "2", "--max-q", "30")
+    code, out, _ = run_cli(*argv, "--prime-only")
+    assert code == 0 and qs(out) == [7, 11, 19, 23]
+    assert run_cli("search", "--ell", "2")[0] == 1     # --max-q missing
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and qs(out) == [7, 11, 19, 23, 27]
+
+
 def test_cli_search_jobs_flag():
     serial = run_cli("search", "--ell", "2", "--max-q", "60")
     try:
