@@ -46,7 +46,7 @@ CONWAY_POLYNOMIALS = {
     (13, 2): (2, 12, 1),        # x^2 + 12x + 2
 }
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Bytes the table build may hold at its peak, 8 (n + 2) q: the kernel's digit
 # array and indices, or pows, dlog and one arange; admits every q <= 10^7.
@@ -54,10 +54,14 @@ TABLE_BUDGET_BYTES = 1 << 30
 
 
 def is_prime(m):
-    """Deterministic Miller-Rabin; exact for m < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for m < psi_13 =
+    3317044064679887385961981: the witnesses 2, 3, 5, 7 decide every
+    m < psi_4 = 3215031751 (Jaeschke 1993), and the first 13 primes, through
+    41, every m < psi_13 (Sorenson and Webster 2017).  The first 12 would
+    not: psi_12 = 318665857834031151167461 is composite and passes them."""
     if m < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _MR_WITNESSES:
         if m % sp == 0:
             return m == sp
     d = m - 1
@@ -65,7 +69,7 @@ def is_prime(m):
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4 if m < 3215031751 else 13]:
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 from .errors import DimensionMismatch, InternalError
@@ -530,16 +530,15 @@ def _squarefree_real_roots(poly, tol_num, tol_den):
         return [-c[0] / c[1]]
     chain = _sturm_chain(c)
 
-    def count(a, b, d):
-        # number of roots in the half-open interval (a/d, b/d]
-        return _sign_variations(chain, a, d) - _sign_variations(chain, b, d)
-
+    # var(a, d) - var(b, d) roots lie in (a/d, b/d]; the stack carries both
+    # endpoints' counts, so a split evaluates the chain at new points only
+    var = partial(_sign_variations, chain)
     bound = 2 * c[-1] + sum(abs(v) for v in c[:-1])
     roots = []
-    stack = [(-bound, bound, c[-1])]
+    stack = [(-bound, bound, c[-1], var(-bound, c[-1]), var(bound, c[-1]))]
     while stack:
-        a, b, d = stack.pop()
-        n = count(a, b, d)
+        a, b, d, va, vb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
         if n == 1:
@@ -552,13 +551,15 @@ def _squarefree_real_roots(poly, tol_num, tol_den):
             m, a, b, d, delta = 2 * (a + b), 4 * a, 4 * b, 4 * d, b - a
             while (_value_at(c, m - delta, d) == 0
                    or _value_at(c, m + delta, d) == 0
-                   or count(m - delta, m + delta, d) != 1):
+                   or (vl := var(m - delta, d)) - (vr := var(m + delta, d))
+                   != 1):
                 m, a, b, d = 2 * m, 2 * a, 2 * b, 2 * d
-            stack.append((a, m - delta, d))
-            stack.append((m + delta, b, d))
+            stack.append((a, m - delta, d, va, vl))
+            stack.append((m + delta, b, d, vr, vb))
         else:
-            stack.append((2 * a, a + b, 2 * d))
-            stack.append((a + b, 2 * b, 2 * d))
+            vm = var(a + b, 2 * d)
+            stack.append((2 * a, a + b, 2 * d, va, vm))
+            stack.append((a + b, 2 * b, 2 * d, vm, vb))
     return roots
 
 

@@ -29,7 +29,10 @@ checked one u-block at a time up to the first failing (u, v) in row-major
 order.  With m the largest of k and |table entries|, no product, partial sum
 or result exceeds (ell+2) ell (m+1)^2 (a trace adds ell^2 products of size
 m^2).  Below 2^53 the arrays are float64, whose BLAS products are then exact
-integers; past it they are Python ints (dtype=object).
+integers; past it they are Python ints (dtype=object).  The four-index
+identity reads no ell^3 stack: (w-a, b-a) over w is column b-a of A cycled
+down by a, window ell-a of that column of [A; A], so it takes O(ell^2 +
+chunk ell) memory and runs past the tensor laws' refusal.
 """
 
 from __future__ import annotations
@@ -124,19 +127,6 @@ def _class_products(ctx):
     return slices()
 
 
-def _class_convolution_counts(ctx, i, v):
-    """counts[z] = #{(x, y) in g^i K x g^v K : x + y = z}, as an int64 array:
-    P_(i-v) read at g^(-v) z, the image of z under the automorphism that
-    carries alpha_i alpha_v onto alpha_(i-v) alpha_0."""
-    ell, field = ctx.ell, ctx.field
-    u = (i - v) % ell
-    prod = next(c[u - start] for start, c in _class_products(ctx)
-                if u < start + len(c))
-    at = field.pows[(field.dlog - v) % (ctx.q - 1)]
-    at[0] = 0
-    return prod[at]
-
-
 def verify_structure_constants(ctx):
     """Multiply pairs of class sums by direct convolution in the group ring
     and confirm the decomposition over {1, alpha_0, ..., alpha_{ell-1}}:
@@ -218,12 +208,15 @@ def _add_law(res, name, ell, block, detail=None):
 
 def verify_regular_representation(ctx):
     """The (ell+1)-dimensional representation is multiplicative:
-    [alpha_u][alpha_v] = k*delta(u, v+q')*I + sum_w (u-v, w-v) [alpha_w]."""
+    [alpha_u][alpha_v] = k*delta(u, v+q')*I + sum_w (u-v, w-v) [alpha_w],
+    on the stack of regular_rep(ctx, v) filled from S[v] = A_v."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    _, c = _law_tensors(ctx, 0)
-    reps = np.array([regular_rep(ctx, v).rows for v in range(ell)],
-                    dtype=c.dtype)
-    e = np.arange(ell + 1)
+    s, c = _law_tensors(ctx, 0)
+    r, e = np.arange(ell), np.arange(ell + 1)
+    reps = np.zeros((ell, ell + 1, ell + 1), dtype=s.dtype)
+    reps[:, 1:, 1:] = s
+    reps[r, 0, 1 + r] = 1
+    reps[r, 1 + (r + qp) % ell, 0] = k
 
     def block(u):
         rhs = np.matmul(c[u], reps.reshape(ell, -1)).reshape(reps.shape)
@@ -369,7 +362,8 @@ def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
             + sum_w (w-v, u-v)(w-j, i-j).
 
     Exhaustive over all ell^4 quadruples for ell <= 12 by default; sampled
-    with a seeded generator beyond that.
+    with a seeded generator beyond that.  Each sum over w is the dot product
+    of two column windows of [A; A], as in the module docstring.
     """
     ell, k = ctx.ell, ctx.k
     if exhaustive is None:
@@ -382,10 +376,13 @@ def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
         mode, quads = "sampled", _randrange_stream(
             random.Random(seed), ell, 4 * samples).reshape(samples, 4)
     t = np.array(ctx.table, dtype=_law_dtype(ctx))
-    w = np.arange(ell)
+    # win[c, s] = [A; A][s:s+ell, c]: (w-a, b-a) over w for c = b-a, s = ell-a
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([t, t]).T, ell, axis=1)
 
-    def delta(a, b):
-        return ((a - b) % ell == 0).astype(np.int64)[:, 0]
+    def dot(a, b, c, d):
+        return (win[(b - a) % ell, ell - a] * win[(d - c) % ell, ell - c]
+                ).sum(axis=1)
 
     res = VerifySuiteResult()
     fail, count = None, ell ** 4 if quads is None else len(quads)
@@ -397,12 +394,10 @@ def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
             cols = np.unravel_index(np.arange(start, stop), (ell,) * 4)
         else:
             cols = np.array(quads[start:stop], dtype=np.int64).reshape(-1, 4).T
-        i, j, u, v = (c[:, None] for c in cols)
-        lhs = (t[(w - u) % ell, (i - u) % ell]
-               * t[(w - v) % ell, (j - v) % ell]).sum(axis=1)
-        rhs = k * (delta(i, j) * delta(u, v) - delta(i, u) * delta(j, v)) \
-            + (t[(w - v) % ell, (u - v) % ell]
-               * t[(w - j) % ell, (i - j) % ell]).sum(axis=1)
+        i, j, u, v = (c % ell for c in cols)
+        lhs = dot(u, i, v, j)
+        rhs = k * (((i == j) & (u == v)).astype(np.int64)
+                   - ((i == u) & (j == v))) + dot(v, u, j, i)
         bad = np.flatnonzero(lhs != rhs)
         if bad.size:
             x = int(bad[0])

@@ -3,7 +3,11 @@
 GroupRingElem multiplies finitely supported combinations of additive-group
 elements by pair enumeration with the field's own addition, so its products
 share nothing with the character transforms in cyclomat.schur.
+class_convolution_counts reads one pair's counts off those transforms, for
+comparison with the oracle.
 """
+
+from cyclomat.schur import _class_products
 
 
 class GroupRingElem:
@@ -46,3 +50,17 @@ def class_sum(ctx, i):
     """alpha_i: the indicator sum of the coset g^i K, with k terms."""
     idxs = ctx.field.coset_indices(i, ctx.ell)
     return GroupRingElem(ctx.field, {int(v): 1 for v in idxs})
+
+
+def class_convolution_counts(ctx, i, v):
+    """counts[z] = #{(x, y) in g^i K x g^v K : x + y = z}, as an int64 array:
+    P_(i-v) of cyclomat.schur._class_products read at g^(-v) z, the image of
+    z under the automorphism that carries alpha_i alpha_v onto
+    alpha_(i-v) alpha_0."""
+    ell, field = ctx.ell, ctx.field
+    u = (i - v) % ell
+    prod = next(c[u - start] for start, c in _class_products(ctx)
+                if u < start + len(c))
+    at = field.pows[(field.dlog - v) % (ctx.q - 1)]
+    at[0] = 0
+    return prod[at]

@@ -37,6 +37,35 @@ def test_is_prime_larger():
     assert is_prime(2 ** 61 - 1)
 
 
+# the least strong pseudoprimes to the first 4 and the first 12 prime bases
+PSI_4 = 3215031751
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert PSI_4 == 151 * 751 * 28351 and not is_prime(PSI_4)
+    assert PSI_12 == 399165290221 * 798330580441 and not is_prime(PSI_12)
+
+
+def test_is_prime_at_the_witness_tier_edge():
+    import sympy
+
+    for m in range(PSI_4 - 2000, PSI_4 + 2000):
+        assert is_prime(m) == sympy.isprime(m), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(2, PSI_4 + 10 ** 6),
+                 st.integers(2, PSI_13 - 1),
+                 st.tuples(st.integers(2, 10 ** 12), st.integers(2, 10 ** 12))
+                 .map(lambda ab: ab[0] * ab[1] + 1)))
+def test_is_prime_matches_sympy(m):
+    import sympy
+
+    assert is_prime(m) == sympy.isprime(m)
+
+
 def test_factorize():
     assert factorize(342) == [(2, 1), (3, 2), (19, 1)]
     assert factorize(130) == [(2, 1), (5, 1), (13, 1)]

@@ -32,9 +32,8 @@ from cyclomat import (
 )
 from cyclomat import schur
 from cyclomat.report import dumps, jsonable
-from cyclomat.schur import _class_convolution_counts
 
-from group_ring import class_sum
+from group_ring import class_convolution_counts, class_sum
 
 
 def _d(ell, a, b):
@@ -328,10 +327,68 @@ def test_fft_kernel_matches_group_ring_product(fields, pn, data):
     ctx = CycloCtx(field, ell)
     i = data.draw(st.integers(0, ell - 1))
     v = data.draw(st.integers(0, ell - 1))
-    counts = _class_convolution_counts(ctx, i, v)
+    counts = class_convolution_counts(ctx, i, v)
     prod = class_sum(ctx, i) * class_sum(ctx, v)
     assert counts.dtype == np.int64 and counts.shape == (q,)
     assert [int(c) for c in counts] == [prod.coefficient(z) for z in range(q)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pn=st.sampled_from(_SMALL_FIELDS), data=st.data())
+def test_inner_product_windows_match_reference(fields, pn, data):
+    # every mode against the pair-by-pair loop, on a table with one entry
+    # bumped (or none), in both array dtypes; explicit quadruples may lie
+    # outside [0, ell) and are reported as given
+    import random
+
+    field = fields(*pn)
+    q = field.q
+    ell = data.draw(st.sampled_from(
+        [d for d in range(1, min(q, 9)) if (q - 1) % d == 0]))
+    ctx = CycloCtx(field, ell)
+    a, b = data.draw(st.integers(0, ell - 1)), data.draw(st.integers(0, ell - 1))
+    ctx.table[a][b] += data.draw(st.sampled_from([0, 1, -1, 2]))
+    seed = data.draw(st.integers(0, 10 ** 6))
+    samples = data.draw(st.integers(1, 300))
+    rng = random.Random(seed)
+    sampled = [tuple(rng.randrange(ell) for _ in range(4))
+               for _ in range(samples)]
+    explicit = data.draw(st.lists(st.tuples(*[st.integers(-3 * ell, 3 * ell)]
+                                            * 4), min_size=1, max_size=40))
+    full = [(i, j, u, v) for i in range(ell) for j in range(ell)
+            for u in range(ell) for v in range(ell)]
+    runs = [({"exhaustive": True}, "exhaustive", full),
+            ({"exhaustive": False, "seed": seed, "samples": samples},
+             "sampled", sampled),
+            ({"quadruples": explicit}, "explicit", explicit)]
+    for dtype in DTYPES:
+        with pytest.MonkeyPatch.context() as mp:
+            if dtype is not None:
+                mp.setattr(schur, "_law_dtype", lambda c, d=dtype: d)
+            for kw, mode, quads in runs:
+                count, want = ref_inner_product(ctx, quads)
+                check = verify_inner_product_identity(ctx, **kw).checks[0]
+                _assert_check(check, "inner_product_identity", want)
+                assert check.params["mode"] == mode
+                assert check.params["quadruples"] == count
+
+
+def test_inner_product_runs_past_the_tensor_budget():
+    # the tensor laws refuse ell = 240; the column windows of [A; A] take
+    # O(ell^2 + chunk ell) memory and check 10^4 sampled quadruples
+    ctx = CycloCtx(build_field(100801), 240)
+    with pytest.raises(ContextTooLarge):
+        verify_matrix_product_law(ctx)
+    tracemalloc.start()
+    try:
+        res = verify_inner_product_identity(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert res.checks[0].params == {"mode": "sampled", "quadruples": 10 ** 4,
+                                    "seed": 0}
+    assert peak < schur.ARRAY_BUDGET_BYTES
 
 
 def _live_spectra_bytes(ctx, width):
@@ -352,7 +409,7 @@ def test_convolution_budget_refuses_before_allocating(monkeypatch):
         with pytest.raises(ContextTooLarge):
             verify_structure_constants(ctx)
         with pytest.raises(ContextTooLarge):
-            _class_convolution_counts(ctx, 0, 0)
+            class_convolution_counts(ctx, 0, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,7 +439,7 @@ def test_convolution_spectra_budget_boundary(monkeypatch):
     assert schur._convolution_refusal(ctx) is None
     tracemalloc.start()
     try:
-        counts = _class_convolution_counts(ctx, 3, 100)
+        counts = class_convolution_counts(ctx, 3, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
