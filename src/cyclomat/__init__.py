@@ -1,9 +1,9 @@
 """Exact arithmetic for cyclotomic numbers, cyclotomic matrices, and power
 difference sets over finite fields.
 
-The package builds F_{p^n} with a deterministic generator and a full
-discrete-log table, computes the ell x ell table of cyclotomic numbers, and
-verifies the exact matrix and group-ring identities the table satisfies.
+The package builds F_{p^n} with a deterministic generator, computes the
+ell x ell table of cyclotomic numbers from the cosets of the ell-th powers,
+and verifies the exact matrix and group-ring identities the table satisfies.
 The difference-set layer decides whether the subgroup of ell-th powers is a
 difference set via four cross-checked criteria and certifies every exact
 consequence on a hit.

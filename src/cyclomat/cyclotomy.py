@@ -116,8 +116,9 @@ def table_by_set_enumeration(field, ell):
     """The full table recomputed by literal set intersection.
 
     Builds every coset as a Python set of canonical indices and intersects
-    1 + g^i K with g^j K elementwise.  O(ell * q) and entirely independent
-    of the dlog-classification pass; used as the oracle for it.
+    1 + g^i K with g^j K elementwise.  O(ell * q), from the power table and
+    field addition alone, so independent of the class array and the table
+    pass; used as the oracle for them.
     """
     q = field.q
     if (q - 1) % ell != 0:

@@ -4,7 +4,8 @@ K, the subgroup of ell-th powers, is a difference set when every nonzero
 field element has the same number of representations as a difference of two
 members.  Four detectors decide this:
 
-  bruteforce -- count representations directly in the field, one coset
+  bruteforce -- count representations directly in the field: K's
+                membership array ANDed with its additive shift by one coset
                 representative per class (counts are class-constant);
   lehmer     -- the first column of the cyclotomic matrix is constant;
   sumsq      -- k odd and some column square-sum with index coprime to ell
@@ -33,7 +34,6 @@ import numpy as np
 
 from .cyclotomy import CycloCtx, build_matrices
 from .errors import (
-    ContextTooLarge,
     EllOne,
     InternalError,
     InvalidJobs,
@@ -44,8 +44,6 @@ from .field import build_field, factorize, is_prime
 from .intmat import IntMatrix, IntPoly
 from .report import VerifySuiteResult
 
-BRUTEFORCE_MAX_Q = 10 ** 6
-LITERAL_MAX_Q = 2000
 SEARCH_MAX_Q = 10 ** 7
 SPECTRUM_TOL = 1e-9
 
@@ -53,10 +51,6 @@ SPECTRUM_TOL = 1e-9
 def _require_ell(ctx):
     if ctx.ell < 2:
         raise EllOne("difference-set layer excludes ell = 1")
-
-
-def _lambda_if_integral(ctx):
-    return (ctx.k - 1) // ctx.ell if (ctx.k - 1) % ctx.ell == 0 else None
 
 
 # ----------------------------------------------------------------------
@@ -68,26 +62,21 @@ def _difference_counts_by_class(field, ell, with_zero=False, lam=None):
     with_zero), one representative z = g^i per class i < ell, in increasing
     i.  With ``lam``, counting stops after the first count that is not lam.
 
-    Uses only field addition and membership in K, never the dlog or the
-    cyclotomic table: the digits of z are added mod p to the field's digits
-    of K = <g^ell> (shared with CycloCtx), re-encoded and looked up in a
-    boolean membership array.  The prime field is the case n = 1."""
-    p, q, g = field.p, field.q, field.generator_index
-    digits = field.subgroup_digits(ell)
-    if with_zero:
-        digits = np.concatenate([digits, np.zeros((field.n, 1), np.int64)],
-                                axis=1)
-    member = np.zeros(q, dtype=bool)
+    Uses only membership in K = <g^ell> (from the digits shared with
+    CycloCtx), never the dlog or the cyclotomic table: the count of z is
+    K's membership array ANDed with its additive shift by z."""
+    digits = field.subgroup_digits(ell)     # its budget guard runs first
+    member = np.zeros(field.q, dtype=bool)
     member[field.encode_array(digits)] = True
+    member[0] = with_zero
     counts, z = [], 1
     for _ in range(ell):
-        shifted = digits + np.array(field.decode(z), dtype=np.int64)[:, None]
-        np.subtract(shifted, p, out=shifted, where=shifted >= p)
-        inside = member[field.encode_array(shifted)]
-        counts.append(int(np.count_nonzero(inside)))
+        both = field.shifted(member, z)
+        both &= member      # in place: a second fresh array faults in pages
+        counts.append(int(np.count_nonzero(both)))
         if lam is not None and counts[-1] != lam:
             break
-        z = field.mul_idx(z, g)
+        z = field.mul_idx(z, field.generator_index)
     return counts
 
 
@@ -106,46 +95,18 @@ def lehmer_screen(field, ell):
     return counts if len(counts) == ell else None
 
 
-def _difference_counts_literal(field, ell):
-    """Representation counts for every z in F_q by full pair enumeration."""
-    q = field.q
-    sub = field.sub_idx
-    kset = [int(v) for v in field.coset_indices(0, ell)]
-    counts = [0] * q
-    for x in kset:
-        for y in kset:
-            counts[sub(x, y)] += 1
-    return counts
-
-
-def is_diffset_bruteforce(ctx, literal=False, counts=None):
-    """(verdict, lambda): counts differences in the field itself.
-
-    With literal=True every ordered pair of K x K is enumerated (guarded at
-    q <= 2000); otherwise one representative per class is counted, which the
-    class-invariance of the count makes equivalent, and guarded at
-    q <= BRUTEFORCE_MAX_Q.  ``counts`` passes the class counts lehmer_screen
-    already took for this field and ell; they are used at any q.
-    """
+def is_diffset_bruteforce(ctx, counts=None):
+    """(verdict, lambda) from differences counted in the field itself, K's
+    membership array ANDed with its shift by one representative per class
+    (the count is class-invariant).  ``counts`` passes the class counts
+    lehmer_screen already took for this field and ell."""
     _require_ell(ctx)
-    field, ell, k = ctx.field, ctx.ell, ctx.k
+    ell, k = ctx.ell, ctx.k
     if k == 1:
         return False, None
-    if literal:
-        if ctx.q > LITERAL_MAX_Q:
-            raise ContextTooLarge("literal pair enumeration guarded at q <= %d"
-                                  % LITERAL_MAX_Q)
-        counts = _difference_counts_literal(field, ell)
-        if counts[0] != k:
-            raise InternalError("x - x pairs must contribute k at zero")
-        values = set(counts[1:])
-    else:
-        if counts is None:
-            if ctx.q > BRUTEFORCE_MAX_Q:
-                raise ContextTooLarge("difference counting guarded at q <= %d"
-                                      % BRUTEFORCE_MAX_Q)
-            counts = _difference_counts_by_class(field, ell)
-        values = set(counts)
+    if counts is None:
+        counts = _difference_counts_by_class(ctx.field, ell)
+    values = set(counts)
     if len(values) != 1:
         return False, None
     lam = values.pop()
@@ -530,8 +491,7 @@ def modified_diffset(ctx):
     k0 = k + 1
     t = ctx.table
 
-    crit_counts = [t[i][0] + (1 if i == 0 else 0) + (1 if i == qp else 0)
-                   for i in range(ell)]
+    crit_counts = [t[i][0] + (i == 0) + (i == qp) for i in range(ell)]
     crit = len(set(crit_counts)) == 1
     bf_counts = _difference_counts_by_class(field, ell, with_zero=True)
     bf = len(set(bf_counts)) == 1
@@ -579,7 +539,7 @@ def build_report(ctx, counts=None):
     if len(set(verdicts.values())) != 1:
         raise InternalError("detectors disagree on q=%d ell=%d: %r"
                             % (ctx.q, ctx.ell, verdicts))
-    lam = _lambda_if_integral(ctx)
+    lam = (ctx.k - 1) // ctx.ell if (ctx.k - 1) % ctx.ell == 0 else None
     certs = VerifySuiteResult()
     determinants = None
     spectra = None

@@ -26,7 +26,8 @@ class ReducibleModulus(CyclomatError):
 
 
 class NoModulusAvailable(CyclomatError):
-    """No built-in modulus for (p, n) and exhaustive search was disabled."""
+    """No monic irreducible of degree n over F_p turned up in the exhaustive
+    search for a modulus; one exists for every (p, n), so this is a bug."""
 
 
 class NotAGenerator(CyclomatError):

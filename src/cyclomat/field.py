@@ -9,6 +9,7 @@ doubling; its int64 steps are exact while n (p-1)^2 < 2^63, else
 ContextTooLarge is raised.  K, the ell-th powers, serves the screen and the
 classes; the power and dlog tables (powers of g) serve dlog_of,
 coset_indices and the oracles.  All are lazy, within TABLE_BUDGET_BYTES.
+``shifted`` is the one kernel that adds an element to an array over F_q.
 
 The generator is the element of smallest canonical index with full
 multiplicative order, so every table derived from a field is reproducible;
@@ -386,6 +387,16 @@ class FieldCtx:
             idx *= self.p
             idx += row
         return idx
+
+    def shifted(self, arr, z):
+        """A new array y[x] = arr[x + z] for an array over F_q: arr viewed as
+        (p,)*n, each axis rolled back by its digit of z (axis 0 the top)."""
+        y = arr.reshape((self.p,) * self.n)
+        for axis, d in enumerate(reversed(self.decode(z))):
+            head = (slice(None),) * axis
+            y = np.concatenate((y[head + (slice(d, None),)],
+                                y[head + (slice(None, d),)]), axis=axis)
+        return y.reshape(self.q)
 
     def add_idx(self, a, b):
         p = self.p

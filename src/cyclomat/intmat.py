@@ -132,12 +132,8 @@ class IntMatrix:
         if not isinstance(e, int) or e < 0:
             raise ValueError("matrix powers need a nonnegative integer exponent")
         out = IntMatrix.identity(self.dim)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        for _ in range(e):
+            out = out * self
         return out
 
     def scale(self, c):

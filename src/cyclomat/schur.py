@@ -426,9 +426,10 @@ def verify_column_products(ctx):
     t = np.array(ctx.table, dtype=_law_dtype(ctx))
     r = np.arange(ell)
     gram = np.matmul(t.T, t)                  # gram[i, j] = sum_w (w,i)(w,j)
-    # first[i, j] = sum_w (w,0)(w-j,i-j)
-    first = (t[:, 0] * t[(r[None, None] - r[None, :, None]) % ell,
-                         ((r[:, None] - r[None]) % ell)[:, :, None]]).sum(axis=2)
+    # first[i,j] = sum_w (w,0)(w-j,i-j) = (circ t)[j,i-j], circ[s,w] = (w+s,0)
+    circ = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((t[:, 0], t[:, 0])), ell)[:ell]
+    first = np.matmul(circ, t)[r[None], (r[:, None] - r[None]) % ell]
 
     def first_pair(mask):
         hit = np.argwhere(mask)

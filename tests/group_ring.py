@@ -1,10 +1,13 @@
-"""The literal group-ring oracle for the FFT kernel of the identity layer.
+"""The literal group-ring oracles for the FFT kernel of the identity layer
+and for the difference counts of the screen.
 
 GroupRingElem multiplies finitely supported combinations of additive-group
 elements by pair enumeration with the field's own addition, so its products
 share nothing with the character transforms in cyclomat.schur.
 class_convolution_counts reads one pair's counts off those transforms, for
-comparison with the oracle.
+comparison with the oracle.  difference_counts_literal enumerates every pair
+of K x K with the field's subtraction, sharing nothing with the shifted
+membership arrays of cyclomat.diffset.
 """
 
 from cyclomat.schur import _class_products
@@ -64,3 +67,15 @@ def class_convolution_counts(ctx, i, v):
     at = field.pows[(field.dlog - v) % (ctx.q - 1)]
     at[0] = 0
     return prod[at]
+
+
+def difference_counts_literal(field, ell):
+    """Representation counts for every z in F_q by full pair enumeration."""
+    q = field.q
+    sub = field.sub_idx
+    kset = [int(v) for v in field.coset_indices(0, ell)]
+    counts = [0] * q
+    for x in kset:
+        for y in kset:
+            counts[sub(x, y)] += 1
+    return counts

@@ -5,9 +5,10 @@ The verify_suite ledgers are checked at the reference seed and at two others.
 Only the seed fields depend on the seed, so each expected ledger is the
 recorded template with the seed token substituted.  The search workloads'
 streamed stdout is checked against its recorded sha256, with one worker and
-with two."""
+with two.  Every function the benchmark's tracer wraps must still exist."""
 
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -16,8 +17,9 @@ import pytest
 
 from cyclomat.cli import main
 
-REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench", "reference.json")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench")
+REFERENCE = os.path.join(BENCH, "reference.json")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2024])
@@ -67,3 +69,16 @@ def test_parallel_hits_stdout_matches_reference():
     argv = list(entry["argv"])
     argv[argv.index("--jobs") + 1] = "2"
     assert _search_digest(argv) == entry["stdout_sha256"]
+
+
+def test_tracer_targets_exist():
+    # a renamed function would silently drop its per-layer metric
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", os.path.join(BENCH, "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    try:
+        assert tr.install() == []
+    finally:
+        tr.uninstall()

@@ -1,11 +1,11 @@
 import io
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclomat import (
-    ContextTooLarge,
     CycloCtx,
     EllOne,
     InvalidJobs,
@@ -43,6 +43,7 @@ from cyclomat.diffset import (
 )
 
 import reference_data as ref
+from group_ring import difference_counts_literal
 
 DETECTORS = (lambda c: is_diffset_bruteforce(c)[0], is_diffset_lehmer,
              is_diffset_sumsq, is_diffset_gram)
@@ -67,30 +68,33 @@ def test_trivial_subgroup_is_not_a_difference_set(cyclo):
 
 
 def test_bruteforce_literal_agrees(cyclo):
+    # the verdict read off every pair of K x K, the oracle route
     for (p, n, ell) in ref.SMALL_CONTEXTS:
         ctx = cyclo(p, n, ell)
-        assert is_diffset_bruteforce(ctx, literal=True) == \
-            is_diffset_bruteforce(ctx)
+        literal = difference_counts_literal(ctx.field, ell)
+        assert literal[0] == ctx.k
+        values = set(literal[1:])
+        want = (True, values.pop()) if len(values) == 1 and ctx.k > 1 \
+            else (False, None)
+        assert is_diffset_bruteforce(ctx) == want, (p, n, ell)
 
 
 def test_bruteforce_guards(cyclo):
     with pytest.raises(EllOne):
         is_diffset_bruteforce(cyclo(7, 1, 1))
-    big = CycloCtx(build_field(4999), 2)
-    with pytest.raises(ContextTooLarge):
-        is_diffset_bruteforce(big, literal=True)
 
 
-def test_bruteforce_guard_only_when_counting():
-    # the screen's counts decide a hit past BRUTEFORCE_MAX_Q; counting there
-    # is still refused
-    reports = search(2, 1000003, min_q=1000000)
-    assert [r.q for r in reports] == [1000003]
-    assert reports[0].verdicts["bruteforce"] is True
-    err = io.StringIO()
-    code = main(["diffset", "--p", "1009", "--n", "2", "--ell", "2"],
-                out=io.StringIO(), err=err)
-    assert code == 1 and "ContextTooLarge" in err.getvalue()
+def test_diffset_matches_search_past_a_million():
+    # diffset counts a q that search certifies, and reports it alike
+    found, out = io.StringIO(), io.StringIO()
+    assert main(["search", "--ell", "2", "--min-q", "1000000",
+                 "--max-q", "1000003"], out=found, err=io.StringIO()) == 0
+    assert main(["diffset", "--p", "1000003", "--ell", "2"], out=out,
+                err=io.StringIO()) == 0
+    (line,) = found.getvalue().splitlines()
+    report = json.loads(out.getvalue())
+    assert report["q"] == 1000003 and report["verdicts"]["bruteforce"]
+    assert report == json.loads(line)
 
 
 def test_lehmer_detector(cyclo):

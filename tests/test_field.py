@@ -2,8 +2,9 @@ import io
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import (
     CompositeP,
@@ -23,6 +24,8 @@ from cyclomat import field as field_module
 from cyclomat.cli import main as cli_main
 from cyclomat.diffset import SEARCH_MAX_Q
 from cyclomat.field import CONWAY_POLYNOMIALS, FieldCtx
+
+from conftest import field_of
 
 
 def test_is_prime_small():
@@ -245,6 +248,37 @@ def test_power_table_matches_repeated_multiplication(data):
     assert f.pows.tolist() == ref
     assert int(f.dlog[0]) == -1
     assert [int(f.dlog[v]) for v in ref] == list(range(f.q - 1))
+
+
+@st.composite
+def _field_and_shift(draw):
+    """(p, n, z): a random prime field or an extension field with n <= 5,
+    and any canonical index z, zero included."""
+    p, n = draw(st.one_of(
+        st.integers(3, 2000).filter(is_prime).map(lambda p: (p, 1)),
+        st.sampled_from([(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+                         (5, 4), (5, 5), (7, 2), (7, 3), (11, 2), (11, 3),
+                         (13, 2), (13, 3), (37, 2)])))
+    return p, n, draw(st.integers(0, p ** n - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_and_shift(), st.integers(0, 2 ** 32 - 1))
+@example((3, 5, 0), 0)
+@example((5, 5, 3124), 1)
+@example((7, 1, 0), 2)
+def test_shifted_matches_add_idx(case, seed):
+    # add_idx, digit by digit in Python, is the oracle for the array shift
+    p, n, z = case
+    field = field_of(p, n)
+    arr = np.random.default_rng(seed).integers(0, 2 ** 40, field.q)
+    before = arr.copy()
+    got = field.shifted(arr, z)
+    assert got.shape == arr.shape and got.dtype == arr.dtype
+    assert not np.shares_memory(got, arr)     # callers write into it
+    assert got.tolist() == [int(arr[field.add_idx(x, z)])
+                            for x in range(field.q)]
+    assert np.array_equal(arr, before)
 
 
 def test_int64_table_bound_guard():

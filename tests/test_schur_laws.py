@@ -391,6 +391,21 @@ def test_inner_product_runs_past_the_tensor_budget():
     assert peak < schur.ARRAY_BUDGET_BYTES
 
 
+def test_column_products_memory_is_quadratic_in_ell():
+    # first-column products come from one circulant matmul: a few ell x ell
+    # arrays, not the two ell^3 temporaries (over 200 MB at ell = 240)
+    ctx = CycloCtx(build_field(100801), 240)
+    ctx.table
+    tracemalloc.start()
+    try:
+        res = verify_column_products(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 32 * 8 * ctx.ell ** 2
+
+
 def _live_spectra_bytes(ctx, width):
     # K's spectrum beside a slice's and their product: 2 width + 1
     # spectra of 8 (q + q/p) bytes

@@ -13,7 +13,6 @@ from cyclomat import diffset, iter_search, search
 from cyclomat.diffset import (
     SEARCH_MAX_Q,
     _difference_counts_by_class,
-    _difference_counts_literal,
     is_diffset_lehmer,
     lehmer_screen,
 )
@@ -21,6 +20,7 @@ from cyclomat.field import is_prime, power_digits
 from cyclomat.schur import verify_structure_constants
 
 from conftest import field_of
+from group_ring import difference_counts_literal
 
 # (p, n) with q <= 2000, prime and extension fields
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (37, 1), (73, 1), (101, 1),
@@ -60,7 +60,7 @@ def test_class_counts_match_literal_and_table(data):
     ell = data.draw(st.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]))
     ctx = CycloCtx(field, ell)
     # K: the count of z = g^i equals the literal pair count at every g^e, e = i
-    literal = _difference_counts_literal(field, ell)
+    literal = difference_counts_literal(field, ell)
     by_class = _difference_counts_by_class(field, ell)
     assert len(by_class) == ell
     for e in range(q - 1):
