@@ -80,7 +80,6 @@ from .diffset import (
     verify_determinants,
     verify_gram_identities,
     verify_spectral,
-    as_odd_prime_power,
 )
 from .report import Check, VerifySuiteResult
 

@@ -578,31 +578,6 @@ def build_report(ctx, counts=None):
 # range search
 # ----------------------------------------------------------------------
 
-def as_odd_prime_power(q):
-    """(p, n) with q = p^n for an odd prime p, or None."""
-    if q < 3 or q % 2 == 0:
-        return None
-    if is_prime(q):
-        return (q, 1)
-    for n in range(2, q.bit_length() + 1):
-        p = _integer_root(q, n)
-        if p < 3:
-            return None
-        if p ** n == q and is_prime(p):
-            return (p, n)
-    return None
-
-
-def _integer_root(q, n):
-    """floor(q^(1/n)) for q >= 1, by Newton's method on ints from above."""
-    x = 1 << -(-q.bit_length() // n)
-    while True:
-        y = ((n - 1) * x + q // x ** (n - 1)) // n
-        if y >= x:
-            return x
-        x = y
-
-
 def iter_odd_prime_powers(first, max_q, step):
     """(q, p, n) for each odd prime power q = p^n in
     range(first, max_q + 1, step): is_prime, else a lookup in one table of

@@ -592,15 +592,20 @@ def _bisect_root(c, a, b, d, tol_num, tol_den):
 
 def _grid_guess(c, a, b, d, j):
     # index on the grid of 2^j cells of (a/d, b/d] nearest the root there
-    # that float Newton steps from the middle reach, or 0 if they fail
+    # that float Newton steps from the middle reach, or 0 if they fail; the
+    # steps go on until one is within a cell (at most 100 of them), since a
+    # wide interval can leave its midpoint far outside quadratic convergence
     try:
         lo, hi = a / d, b / d
-        x = (lo + hi) / 2
-        for _ in range(12):
+        x, cell = (lo + hi) / 2, (hi - lo) / 2 ** j
+        for _ in range(100):
             f = df = 0.0
             for v in reversed(c):
                 f, df = f * x + v, df * x + f
-            x -= f / df
+            step = f / df
+            x -= step
+            if abs(step) <= cell:
+                break
         return round((x - lo) / (hi - lo) * 2 ** j) if lo < x <= hi else 0
     except (OverflowError, ZeroDivisionError):
         return 0

@@ -15,19 +15,27 @@ otherwise, and scale factors of k are always written explicitly.  The
 convolution oracle in verify_structure_constants confirms this normalization
 against direct group-ring arithmetic.
 
-Group-ring products use the characters of (F_q, +) = (Z/p)^n, on which a
-class indicator lives once reshaped to (p,)*n.  Multiplication by g^(-v) is
-an automorphism of (F_q, +) that sends alpha_j to alpha_(j-v), so it carries
-alpha_i alpha_v onto alpha_(i-v) alpha_0: the ell products alpha_u alpha_0
-decide all ell^2 pairs.  They are formed over slices of u (one rfftn and one
-inverse per class), rounded; a residual of 1/4 or more raises InternalError.
-Past q = MAX_CONVOLUTION_Q or SPECTRA_BUDGET_BYTES of spectra live at once
-it raises ContextTooLarge before allocating.
+Every identity indexed by a pair (u, v) is decided on its ell pairs
+(u-v, 0).  For any table T, corrupted ones included, A_w[i, j] = T[i-w, j-w],
+so A_u = P_v A_(u-v) P_v^T with P_v e_i = e_(i+v); and x -> g^(-v) x is an
+automorphism of (F_q, +) sending alpha_j to alpha_(j-v).  So both sides of
+each law at (u, v) are conjugates of its sides at (u-v, 0): by P_v for the
+product, transposed-product and commutator laws, by diag(1, P_v) for the
+regular representation, by the automorphism for the structure constants,
+and a trace is invariant under conjugation.  (u, v) fails exactly when
+(u-v, 0) does, and the first failing pair in row-major order is (0, v) for
+the least v = -u mod ell over the failing u (_first_v).
 
-Matrix laws are tensor laws over S[v] = A_v and C[u, v, w] = (u-v+s, w-v),
-checked one u-block at a time up to the first failing (u, v) in row-major
-order.  With m the largest of k and |table entries|, no product, partial sum
-or result exceeds (ell+2) ell (m+1)^2 (a trace adds ell^2 products of size
+Group-ring products use the characters of (F_q, +) = (Z/p)^n, on which a
+class indicator lives once reshaped to (p,)*n.  The ell products
+alpha_u alpha_0 are formed over slices of u (one rfftn and one inverse per
+class), rounded; a residual of 1/4 or more raises InternalError.  Past
+q = MAX_CONVOLUTION_Q or SPECTRA_BUDGET_BYTES of spectra live at once it
+raises ContextTooLarge before allocating.
+
+Matrix laws stack their sides at (u, 0) for all u at once, from S[u] = A_u.
+With m the largest of k and |table entries|, no product, partial sum or
+result exceeds (ell+2) ell (m+1)^2 (a trace adds ell^2 products of size
 m^2).  Below 2^53 the arrays are float64, whose BLAS products are then exact
 integers; past it they are Python ints (dtype=object).  The four-index
 identity reads no ell^3 stack: (w-a, b-a) over w is column b-a of A cycled
@@ -132,32 +140,24 @@ def verify_structure_constants(ctx):
     and confirm the decomposition over {1, alpha_0, ..., alpha_{ell-1}}:
     the identity coefficient of alpha_i alpha_v is k exactly when
     i = v + q' (mod ell), else 0, and its alpha_j coefficient is the table
-    entry (i-v, j-v).
-
-    Only the ell products P_u = alpha_u alpha_0 are formed.  The map
-    x -> g^(-v) x is an automorphism of (F_q, +) sending alpha_j to
-    alpha_(j-v); it carries alpha_i alpha_v onto P_(i-v) and the right-hand
-    side of (i, v) onto that of (i-v, 0), for any table.  So (i, v) fails
-    exactly when u = i-v fails, and the first failing pair in row-major
-    order is (0, -u) for the failing u that minimizes -u mod ell."""
+    entry (i-v, j-v).  Only the ell products P_u = alpha_u alpha_0 are
+    formed; the module docstring gives the reduction to (i-v, 0)."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
     products = _class_products(ctx)
-    cls = ctx.classes
     tab = np.array(ctx.table, dtype=np.int64)
     want0 = np.where((np.arange(ell) - qp) % ell == 0, k, 0)
     bad = np.zeros(ell, dtype=bool)
     ident = np.zeros(ell, dtype=np.int64)
     for start, lhs in products:
         us = np.arange(start, start + len(lhs))
-        rhs = tab[us[:, None], cls]
+        rhs = tab[us[:, None], ctx.classes]
         rhs[:, 0] = want0[us]
         bad[us] = (lhs != rhs).any(axis=1)
         ident[us] = lhs[:, 0]
-    fail = None
-    if bad.any():
-        u = min(np.flatnonzero(bad).tolist(), key=lambda u: -u % ell)
-        fail = {"i": 0, "v": -u % ell, "identity_coefficient": int(ident[u]),
-                "expected_identity_coefficient": int(want0[u])}
+    fail, v = None, _first_v(bad, ell)
+    if v is not None:
+        fail = {"i": 0, "v": v, "identity_coefficient": int(ident[-v % ell]),
+                "expected_identity_coefficient": int(want0[-v % ell])}
     res = VerifySuiteResult()
     res.add("structure_constants", fail is None, params={"pairs": ell * ell},
             detail=fail)
@@ -168,14 +168,20 @@ def verify_structure_constants(ctx):
 # tensor laws: one skeleton for every "all (u, v)" identity
 # ----------------------------------------------------------------------
 
+def _first_v(bad, ell):
+    """The least v = -u mod ell over the u where bad is set, or None: (0, v)
+    is then the first failing pair in row-major order."""
+    return min((-u % ell for u in np.flatnonzero(bad).tolist()), default=None)
+
+
 def _law_dtype(ctx):
     """float64 if it is exact under the bound in the module docstring."""
     m = max([ctx.k] + [abs(x) for row in ctx.table for x in row]) + 1
     return np.float64 if (ctx.ell + 2) * ctx.ell * m * m < 1 << 53 else object
 
 
-def _law_tensors(ctx, shift=None):
-    """S[v] = A_v and, given a shift, C[u, v, w] = (u - v + shift, w - v)."""
+def _law_tensors(ctx):
+    """S with S[v] = A_v, so S[0] = A, in the law dtype."""
     ell = ctx.ell
     if 8 * (ell + 1) ** 3 > ARRAY_BUDGET_BYTES:
         raise ContextTooLarge("tensor laws at ell=%d are past the %d-byte "
@@ -183,25 +189,16 @@ def _law_tensors(ctx, shift=None):
     t = np.array(ctx.table, dtype=_law_dtype(ctx))
     r = np.arange(ell)
     d = (r[None, :] - r[:, None]) % ell           # d[v, a] = a - v
-    s = t[d[:, :, None], d[:, None, :]]
-    if shift is None:
-        return s, None
-    c = t[((r[:, None] - r[None, :] + shift) % ell)[:, :, None], d[None]]
-    return s, c
+    return t[d[:, :, None], d[:, None, :]]
 
 
-def _add_law(res, name, ell, block, detail=None):
-    """block(u) yields (v0, lhs, rhs), stacks over v = v0, v0 + 1, ... that
-    cover every v in order; record the first (u, v) where they differ."""
-    fail = None
-    for u, v0, lhs, rhs in ((u,) + b for u in range(ell) for b in block(u)):
-        bad = np.flatnonzero((lhs != rhs).reshape(len(lhs), -1).any(axis=1))
-        if bad.size:
-            x = int(bad[0])
-            fail = {"u": u, "v": v0 + x}
-            if detail is not None:
-                fail.update(detail(lhs[x], rhs[x]))
-            break
+def _add_law(res, name, ell, lhs, rhs, detail=lambda *_: {}):
+    """Record a law whose sides at (u, 0) are lhs[u] and rhs[u]; its first
+    failing pair is (0, v), and detail(lhs[u], rhs[u], v) with u = -v mod ell
+    adds to the counterexample."""
+    fail, v = None, _first_v((lhs != rhs).reshape(ell, -1).any(axis=1), ell)
+    if v is not None:
+        fail = {"u": 0, "v": v, **detail(lhs[-v % ell], rhs[-v % ell], v)}
     res.add(name, fail is None, params={"pairs": ell * ell}, detail=fail)
     return res
 
@@ -211,75 +208,63 @@ def verify_regular_representation(ctx):
     [alpha_u][alpha_v] = k*delta(u, v+q')*I + sum_w (u-v, w-v) [alpha_w],
     on the stack of regular_rep(ctx, v) filled from S[v] = A_v."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    s, c = _law_tensors(ctx, 0)
+    s = _law_tensors(ctx)
     r, e = np.arange(ell), np.arange(ell + 1)
     reps = np.zeros((ell, ell + 1, ell + 1), dtype=s.dtype)
     reps[:, 1:, 1:] = s
+    s = reps[:, 1:, 1:]                       # frees S; A_v lives on in reps
     reps[r, 0, 1 + r] = 1
     reps[r, 1 + (r + qp) % ell, 0] = k
-
-    def block(u):
-        rhs = np.matmul(c[u], reps.reshape(ell, -1)).reshape(reps.shape)
-        rhs[(u - qp) % ell, e, e] += k
-        yield 0, np.matmul(reps[u], reps), rhs
-
+    rhs = np.tensordot(s[0], reps, 1)
+    rhs[qp, e, e] += k
     return _add_law(VerifySuiteResult(), "regular_representation_product",
-                    ell, block)
+                    ell, reps @ reps[0], rhs)
 
 
 def verify_matrix_product_law(ctx):
     """A_u A_v = k(delta(u, v+q') I - E_{u+q', v}) + sum_w (u-v, w-v) A_w."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    s, c = _law_tensors(ctx, 0)
+    s = _law_tensors(ctx)
     r = np.arange(ell)
-
-    def block(u):
-        rhs = np.matmul(c[u], s.reshape(ell, -1)).reshape(s.shape)
-        rhs[r, (u + qp) % ell, r] -= k
-        rhs[(u - qp) % ell, r, r] += k
-        yield 0, np.matmul(s[u], s), rhs
-
-    return _add_law(VerifySuiteResult(), "shifted_product_law", ell, block,
-                    lambda lhs, rhs: {"residual":
-                                      IntMatrix((lhs - rhs).tolist())})
+    rhs = np.tensordot(s[0], s, 1)
+    rhs[r, (r + qp) % ell, 0] -= k
+    rhs[qp, r, r] += k
+    return _add_law(VerifySuiteResult(), "shifted_product_law", ell,
+                    s @ s[0], rhs, lambda lhs, rhs, v: {"residual": IntMatrix(
+                        np.roll(lhs - rhs, v, (0, 1)).tolist())})
 
 
 def verify_transposed_product_law(ctx):
     """A_u^T A_v = k(delta(u, v) I - E_{u, v}) + sum_w (u-v+q', w-v) A_w,
     the law that encodes column inner products."""
-    ell, k = ctx.ell, ctx.k
-    s, c = _law_tensors(ctx, ctx.qprime)
+    ell, k, qp = ctx.ell, ctx.k, ctx.qprime
+    s = _law_tensors(ctx)
     r = np.arange(ell)
-
-    def block(u):
-        rhs = np.matmul(c[u], s.reshape(ell, -1)).reshape(s.shape)
-        rhs[r, u, r] -= k
-        rhs[u, r, r] += k
-        yield 0, np.matmul(s[u].T, s), rhs
-
-    return _add_law(VerifySuiteResult(), "transposed_product_law", ell, block)
+    rhs = np.tensordot(s[0][(r + qp) % ell], s, 1)
+    rhs[r, r, 0] -= k
+    rhs[0, r, r] += k
+    return _add_law(VerifySuiteResult(), "transposed_product_law", ell,
+                    s.transpose(0, 2, 1) @ s[0], rhs)
 
 
 def verify_commutator(ctx):
     """A_u A_v - A_v A_u = k(E_{v+q', u} - E_{u+q', v}); in particular the
     cyclotomic matrix is normal up to a two-entry correction."""
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    s, _ = _law_tensors(ctx)
-    r = np.arange(ell)
-
-    def block(u):
-        rhs = np.zeros_like(s)
-        rhs[r, (r + qp) % ell, u] += k
-        rhs[r, (u + qp) % ell, r] -= k
-        yield 0, np.matmul(s[u], s) - np.matmul(s, s[u]), rhs
-
-    res = _add_law(VerifySuiteResult(), "commutator_law", ell, block)
-    a = shifted_matrix(ctx, 0)
-    lhs = a.transpose() * a - a * a.transpose()
-    rhs = k * (IntMatrix.elementary(ell, qp, qp)
-               - IntMatrix.elementary(ell, 0, 0))
-    res.add("near_normality", lhs == rhs, detail=None if lhs == rhs else
-            {"residual": lhs - rhs})
+    s = _law_tensors(ctx)
+    a, r = s[0], np.arange(ell)
+    lhs = s @ a
+    lhs -= a @ s
+    rhs = np.zeros_like(s)
+    rhs[r, qp, r] += k
+    rhs[r, (r + qp) % ell, 0] -= k
+    res = _add_law(VerifySuiteResult(), "commutator_law", ell, lhs, rhs)
+    resid = a.T @ a - a @ a.T
+    resid[qp, qp] -= k
+    resid[0, 0] += k
+    ok = not resid.any()
+    res.add("near_normality", ok, detail=None if ok else
+            {"residual": IntMatrix(resid.tolist())})
     return res
 
 
@@ -293,20 +278,18 @@ def verify_traces(ctx):
     + k(k-1); the parity split of tr(A^2); and tr(A^3) = (0, q')(q-3k)
     + k^2 (k-1)."""
     ell, k, qp, q = ctx.ell, ctx.k, ctx.qprime, ctx.q
-    s, _ = _law_tensors(ctx)
+    s = _law_tensors(ctx)
     res = VerifySuiteResult()
 
     bad = np.flatnonzero(np.trace(s, axis1=1, axis2=2) != k - 1)
     res.add("trace_of_shifts", bad.size == 0,
             detail={"w": int(bad[0])} if bad.size else None)
 
-    def block(u):
-        want = np.full(ell, k * (k - 1), dtype=s.dtype)
-        want[(u - qp) % ell] += q - 2 * k
-        yield 0, np.matmul(s.reshape(ell, -1), s[u].T.reshape(-1)), want
-
-    _add_law(res, "trace_of_products", ell, block,
-             lambda lhs, rhs: {"expected": int(rhs)})
+    want = np.full(ell, k * (k - 1), dtype=s.dtype)
+    want[qp] += q - 2 * k
+    _add_law(res, "trace_of_products", ell,
+             s.reshape(ell, -1) @ s[0].T.reshape(-1), want,
+             lambda lhs, rhs, v: {"expected": int(rhs)})
 
     a = shifted_matrix(ctx, 0)
     tr2 = _trace_of_product(a, a)

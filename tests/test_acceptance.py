@@ -24,7 +24,7 @@ from cyclomat.cli import main as cli_main
 from cyclomat.diffset import _difference_counts_by_class
 
 import reference_data as ref
-from conftest import context_of, field_of
+from conftest import context_of, field_of, odd_prime_power
 from group_ring import difference_counts_literal
 
 
@@ -183,9 +183,7 @@ def test_criterion_8_oracle_equivalence():
                                                 with_zero=True) == crit
     # modified hits at ell = 2 are exactly q = 3 (mod 4)
     for q in range(3, 200, 2):
-        from cyclomat import as_odd_prime_power
-
-        pn = as_odd_prime_power(q)
+        pn = odd_prime_power(q)
         if pn is None:
             continue
         rep = modified_diffset(context_of(pn[0], pn[1], 2))

@@ -13,7 +13,6 @@ from cyclomat import (
     IntPoly,
     NotADifferenceSet,
     RangeTooLarge,
-    as_odd_prime_power,
     build_field,
     build_matrices,
     build_report,
@@ -43,6 +42,7 @@ from cyclomat.diffset import (
 )
 
 import reference_data as ref
+from conftest import odd_prime_power
 from group_ring import difference_counts_literal
 
 DETECTORS = (lambda c: is_diffset_bruteforce(c)[0], is_diffset_lehmer,
@@ -288,7 +288,7 @@ def test_modified_diffset(cyclo):
 def test_modified_matches_residue_rule(cyclo):
     # ell = 2: K ∪ {0} is a difference set exactly when q = 3 (mod 4)
     for q in (3, 7, 11, 13, 17, 19, 23, 27, 29, 31):
-        pn = as_odd_prime_power(q)
+        pn = odd_prime_power(q)
         ctx = CycloCtx(build_field(pn[0], pn[1]), 2)
         assert modified_diffset(ctx).is_difference_set == (q % 4 == 3)
 
@@ -387,7 +387,7 @@ def _candidates_by_rule(ell, max_q, min_q, prime_only):
     first = max(3, min_q)
     out = []
     for q in range(first + (1 - first) % ell, max_q + 1, ell):
-        pn = as_odd_prime_power(q)
+        pn = odd_prime_power(q)
         if passes_prefilter(q, ell) and pn is not None \
                 and not (prime_only and pn[1] != 1) \
                 and _mann_by_sympy(q, pn[0], ell):
@@ -418,9 +418,9 @@ def test_candidate_stream_matches_prefilter_rule(monkeypatch):
 def test_odd_prime_powers_match_single_q_route():
     for first, max_q, step in ((0, 3000, 1), (5, 20000, 16), (7, 6561, 2),
                                (6, 500, 6), (3, 3, 1), (5, -9, 8)):
-        want = [(q,) + as_odd_prime_power(q)
+        want = [(q,) + odd_prime_power(q)
                 for q in range(first, max_q + 1, step)
-                if as_odd_prime_power(q) is not None]
+                if odd_prime_power(q) is not None]
         assert list(iter_odd_prime_powers(first, max_q, step)) == want
 
 
@@ -454,7 +454,7 @@ def test_prefilter_rejects_only_non_hits():
     fields = {}
     for ell in range(2, 13, 2):
         for q in range(ell + 1, 3001, ell):
-            pn = as_odd_prime_power(q)
+            pn = odd_prime_power(q)
             if pn is None or passes_prefilter(q, ell):
                 continue
             if q not in fields:
@@ -532,24 +532,6 @@ def test_large_quadratic_residue_parameters():
     by = {c.name: c for c in res.checks}
     assert not by["geometric_lambda_clause"].skipped
     assert res.passed
-
-
-def test_as_odd_prime_power():
-    assert as_odd_prime_power(27) == (3, 3)
-    assert as_odd_prime_power(343) == (7, 3)
-    assert as_odd_prime_power(121) == (11, 2)
-    assert as_odd_prime_power(15) is None
-    assert as_odd_prime_power(16) is None
-    assert as_odd_prime_power(13) == (13, 1)
-    # 3**700 overflows a float; the n-th root is taken on ints
-    assert as_odd_prime_power(3 ** 700) == (3, 700)
-    assert as_odd_prime_power(10007 ** 40) == (10007, 40)
-    assert as_odd_prime_power(5 * 3 ** 700) is None
-    assert as_odd_prime_power(10009 * 10007 ** 39) is None
-    for q in range(1, 3000):
-        for n in (2, 3, 5, 11):
-            r = diffset._integer_root(q, n)
-            assert r ** n <= q < (r + 1) ** n
 
 
 def test_build_report_builds_hit_inputs_once(cyclo, monkeypatch):

@@ -229,3 +229,36 @@ def test_real_roots_converts_each_tolerance_once():
     direct = [(r, m) for fac, m in p.squarefree_decomposition()
               for r in _squarefree_real_roots(fac, f.numerator, f.denominator)]
     assert first == sorted(direct)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-8036102364, 32144564725, -103513, -207025, 1),
+    (-102743564, 410991813, -11705, -23409, 1),
+    (-113916894, 455686063, -12325, -24649, 1),
+])
+def test_grid_guess_converges_on_wide_intervals(monkeypatch, coeffs):
+    # characteristic polynomials of ell = 4 search hits; the negative root's
+    # isolation interval reaches down to about -bound (-4e10 for the first),
+    # where twelve Newton steps from its midpoint stop far from the root and
+    # the grid search gallops over most of the 2^76 cells (161-186 sign
+    # evaluations in all); Newton run to within a cell leaves under 100
+    from cyclomat import intmat
+
+    calls, inside = [0], [False]
+    value_at, bisect_root = intmat._value_at, intmat._bisect_root
+
+    def counted(*args):
+        calls[0] += inside[0]
+        return value_at(*args)
+
+    def bisect(*args):
+        inside[0] = True
+        try:
+            return bisect_root(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(intmat, "_value_at", counted)
+    monkeypatch.setattr(intmat, "_bisect_root", bisect)
+    roots = IntPoly(coeffs).real_roots()
+    assert len(roots) == 4 and calls[0] < 100

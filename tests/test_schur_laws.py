@@ -112,6 +112,17 @@ def ref_commutator(ctx):
     return _first(ell, check)
 
 
+def ref_near_normality(ctx):
+    ell, k, qp, a = ctx.ell, ctx.k, ctx.qprime, ctx.table
+    at = [list(c) for c in zip(*a)]
+    resid = _sub(_mul(at, a), _mul(a, at))
+    resid[qp][qp] -= k
+    resid[0][0] += k
+    if any(any(row) for row in resid):
+        return {"residual": IntMatrix(resid)}
+    return None
+
+
 def ref_regular_rep_matrix(ctx, v):
     ell = ctx.ell
     rows = [[0] + row for row in _shift(ctx, v)]
@@ -209,7 +220,7 @@ def ref_column_products(ctx):
     return out
 
 
-CONTEXTS = [(131, 1, 10), (7, 3, 6), (41, 1, 4), (13, 1, 2)]
+CONTEXTS = [(131, 1, 10), (7, 3, 6), (41, 1, 4), (13, 1, 2), (73, 1, 8)]
 BUMPS = [None, (0, 0, 1), (1, 2, -1), (-1, -1, 3), (0, -1, 2), (2, 1, 1)]
 DTYPES = [None, object]
 
@@ -245,6 +256,7 @@ def test_verifiers_match_reference_loops(fields, monkeypatch, spec, bump):
          ref_structure_constants(ctx)),
     ]
     shifts_bad, products_bad = ref_trace_checks(ctx)
+    near_normal_bad = ref_near_normality(ctx)
     quads = [(1, 2, 3, 4), (-1, 0, ctx.ell + 2, 5), (0, 1, 1, 0)]
     columns = ref_column_products(ctx)
     natural = schur._law_dtype(ctx)
@@ -259,6 +271,8 @@ def test_verifiers_match_reference_loops(fields, monkeypatch, spec, bump):
             check = verifier(ctx).checks[0]
             _assert_check(check, name, want)
             assert check.params == {"pairs": ctx.ell ** 2}
+        _assert_check(verify_commutator(ctx).checks[1], "near_normality",
+                      near_normal_bad)
         traces = verify_traces(ctx).checks
         _assert_check(traces[0], "trace_of_shifts", shifts_bad)
         _assert_check(traces[1], "trace_of_products", products_bad)
@@ -281,6 +295,31 @@ def test_verifiers_match_reference_loops(fields, monkeypatch, spec, bump):
                               ok=want["computed"] == want["expected"])
             else:
                 _assert_check(cols[name], name, want)
+
+
+@pytest.mark.parametrize("q,table", [(13, [[-1, 0], [0, 2]]),
+                                     (11, [[-1, 0], [5, -1]]),
+                                     (5, [[1, 0], [0, 2]])])
+def test_product_law_first_failure_past_v_zero(fields, monkeypatch, q, table):
+    # tables on which the product law holds at (0, 0) but not at (1, 0):
+    # its first failing pair is (0, 1), whose residual is that of (1, 0)
+    # conjugated by P_1
+    ctx = CycloCtx(fields(q, 1), 2)
+    ctx.table[:] = [list(row) for row in table]
+    want = ref_product_law(ctx)
+    assert (want["u"], want["v"]) == (0, 1)
+    laws = [(verify_matrix_product_law, "shifted_product_law", want),
+            (verify_transposed_product_law, "transposed_product_law",
+             ref_transposed_law(ctx)),
+            (verify_regular_representation, "regular_representation_product",
+             ref_regular_rep(ctx))]
+    for dtype in DTYPES:
+        if dtype is not None:
+            monkeypatch.setattr(schur, "_law_dtype", lambda c, d=dtype: d)
+        for verifier, name, expected in laws:
+            _assert_check(verifier(ctx).checks[0], name, expected)
+        _assert_check(verify_traces(ctx).checks[1], "trace_of_products",
+                      ref_trace_checks(ctx)[1])
 
 
 def test_sampled_inner_product_matches_reference(fields, monkeypatch):
@@ -389,6 +428,23 @@ def test_inner_product_runs_past_the_tensor_budget():
     assert res.checks[0].params == {"mode": "sampled", "quadruples": 10 ** 4,
                                     "seed": 0}
     assert peak < schur.ARRAY_BUDGET_BYTES
+
+
+def test_stack_laws_memory_at_ell_120():
+    # each law stacks its sides at (u, 0) for all u: a few ell^3 arrays,
+    # with no ell^3 table tensor beside them (83-98 MB when there was one)
+    ctx = CycloCtx(build_field(100801), 120)
+    ctx.table
+    for verifier in (verify_regular_representation, verify_matrix_product_law,
+                     verify_transposed_product_law, verify_commutator):
+        tracemalloc.start()
+        try:
+            res = verifier(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passed
+        assert peak < 5 * 8 * (ctx.ell + 1) ** 3, verifier.__name__
 
 
 def test_column_products_memory_is_quadratic_in_ell():

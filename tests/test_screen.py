@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyclomat import CycloCtx, FieldCtx, as_odd_prime_power, build_field
+from cyclomat import CycloCtx, FieldCtx, build_field
 from cyclomat import diffset, iter_search, search
 from cyclomat.diffset import (
     SEARCH_MAX_Q,
@@ -19,7 +19,7 @@ from cyclomat.diffset import (
 from cyclomat.field import is_prime, power_digits
 from cyclomat.schur import verify_structure_constants
 
-from conftest import field_of
+from conftest import field_of, odd_prime_power
 from group_ring import difference_counts_literal
 
 # (p, n) with q <= 2000, prime and extension fields
@@ -33,7 +33,7 @@ def test_screen_matches_lehmer_on_full_context():
     # including extension fields and the trivial subgroup k = 1
     seen = {"ext": 0, "k1": 0, "hit": 0}
     for q in range(3, 3001):
-        pn = as_odd_prime_power(q)
+        pn = odd_prime_power(q)
         if pn is None:
             continue
         field = build_field(*pn)
