@@ -5,7 +5,7 @@ generator and discrete-log table, the table of cyclotomic numbers for a
 divisor ell of q-1, and the derived matrices A, M, B, S.
 """
 
-from cyclomat import build_field, build_cyclo, build_matrices
+from cyclomat import CycloCtx, build_field, build_matrices
 from cyclomat.report import matrix_pretty
 
 # A prime field first: F_131 with ell = 10.  The generator is chosen
@@ -14,7 +14,7 @@ from cyclomat.report import matrix_pretty
 field = build_field(131)
 print("q = %d, generator = %d" % (field.q, field.generator_index))
 
-ctx = build_cyclo(field, 10)
+ctx = CycloCtx(field, 10)
 print("k = (q-1)/ell = %d, half-shift q' = %d" % (ctx.k, ctx.qprime))
 print()
 
@@ -36,7 +36,7 @@ print()
 # of x generates the multiplicative group, so it is the chosen generator.
 f343 = build_field(7, 3)
 print("modulus coefficients (low to high):", list(f343.modulus))
-ctx343 = build_cyclo(f343, 6)
+ctx343 = CycloCtx(f343, 6)
 print(matrix_pretty(build_matrices(ctx343).A, label="A for q = 343, ell = 6"))
 
 # Indices extend periodically to all integers.

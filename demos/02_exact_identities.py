@@ -7,14 +7,14 @@ commutator correction that makes A "almost" normal.
 """
 
 from cyclomat import (
-    build_cyclo,
+    CycloCtx,
     build_field,
     run_identity_suite,
     shifted_matrix,
 )
 from cyclomat.report import matrix_pretty
 
-ctx = build_cyclo(build_field(7, 3), 6)
+ctx = CycloCtx(build_field(7, 3), 6)
 
 # A^T A - A A^T vanishes except for -k at (0,0) and +k at (q', q').
 a = shifted_matrix(ctx, 0)
@@ -27,7 +27,7 @@ print()
 # the transposed law, commutators, traces, the total square sum, the
 # four-index inner-product identity, and the column-product reductions.
 for (p, n, ell) in ((7, 3, 6), (131, 1, 10)):
-    ctx = build_cyclo(build_field(p, n), ell)
+    ctx = CycloCtx(build_field(p, n), ell)
     res = run_identity_suite(ctx)
     print("q = %4d, ell = %2d: %d checks, all pass = %s"
           % (ctx.q, ell, len(res.checks), res.passed))
@@ -37,7 +37,7 @@ for (p, n, ell) in ((7, 3, 6), (131, 1, 10)):
     print()
 
 # One concrete trace identity: tr(A^3) depends on a single table entry.
-ctx = build_cyclo(build_field(7, 3), 6)
+ctx = CycloCtx(build_field(7, 3), 6)
 a = shifted_matrix(ctx, 0)
 lhs = (a * a * a).trace()
 rhs = ctx.num(0, ctx.qprime) * (ctx.q - 3 * ctx.k) \

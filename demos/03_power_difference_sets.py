@@ -9,7 +9,7 @@ scans small ranges, and looks at the modified sets K ∪ {0}.
 import json
 
 from cyclomat import (
-    build_cyclo,
+    CycloCtx,
     build_field,
     build_report,
     is_diffset_bruteforce,
@@ -21,7 +21,7 @@ from cyclomat import (
 )
 
 for p, ell in ((73, 8), (131, 10)):
-    ctx = build_cyclo(build_field(p), ell)
+    ctx = CycloCtx(build_field(p), ell)
     print("q = %d, ell = %d:" % (p, ell))
     print("   bruteforce :", is_diffset_bruteforce(ctx))
     print("   lehmer     :", is_diffset_lehmer(ctx))
@@ -31,7 +31,7 @@ print()
 
 # The full report for the octic-residue hit at q = 73: lambda = 1,
 # certificates all exact.
-report = build_report(build_cyclo(build_field(73), 8))
+report = build_report(CycloCtx(build_field(73), 8))
 print("q = 73 report:")
 print(json.dumps(report.to_obj()["verdicts"], indent=2))
 print("lambda =", report.lam, "| certificates pass =",
@@ -54,6 +54,6 @@ print()
 
 # Modified sets K ∪ {0} at ell = 2: difference set exactly when q = 3 mod 4.
 for q in (7, 11, 13):
-    rep = modified_diffset(build_cyclo(build_field(q), 2))
+    rep = modified_diffset(CycloCtx(build_field(q), 2))
     print("q = %2d: K ∪ {0} difference set = %-5s lambda0 = %s"
           % (q, rep.is_difference_set, rep.lam0))

@@ -8,9 +8,9 @@ polynomials.  Determinants of A and B follow in closed form.
 
 import math
 
-from cyclomat import IntPoly, build_cyclo, build_field, build_matrices
+from cyclomat import CycloCtx, IntPoly, build_field, build_matrices
 
-ctx = build_cyclo(build_field(73), 8)
+ctx = CycloCtx(build_field(73), 8)
 k, lam = ctx.k, 1
 n = k - lam
 dm = build_matrices(ctx)
@@ -49,6 +49,6 @@ print()
 
 # The quartic case q = 37 has an irreducible characteristic polynomial for
 # A itself; its constant term recovers det(A) = -14.
-a37 = build_matrices(build_cyclo(build_field(37), 4)).A
+a37 = build_matrices(CycloCtx(build_field(37), 4)).A
 print("char(A) for q = 37:", a37.charpoly())
 print("det(A) =", a37.det())

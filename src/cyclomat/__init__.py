@@ -42,11 +42,8 @@ from .intmat import IntMatrix, IntPoly
 from .cyclotomy import (
     CycloCtx,
     DerivedMatrices,
-    build_cyclo,
     build_matrices,
-    cyclotomic_number_by_pair_count,
     shifted_matrix,
-    table_by_set_enumeration,
     verify_elementary_laws,
 )
 from .schur import (

@@ -3,13 +3,13 @@
 With K the subgroup of ell-th powers in F_q^* and g the field's generator,
 the entry (i, j) counts |(1 + g^i K) ∩ g^j K|.  Indices extend to all of Z
 with period ell.  The classes come from the cosets of K, whose digits the
-doubling kernel carries to g^j K, j < ell, before one scatter; no power or
-dlog table is read.  The full ell x ell table is built in one O(q) pass
-over the classes, reshaped to rows of p canonical indices that share
-their higher digits: x + 1 only touches the constant digit, so the pairs
-(x, x + 1) are the adjacent columns of each row plus the wrap from column
-p - 1 to column 0, less the two pairs that touch index 0.  The pass is
-plain slicing, the same for prime and extension fields.
+doubling kernel carries to g^j K, j < ell, before one scatter.  The full
+ell x ell table is built in one O(q) pass over the classes, reshaped to
+rows of p canonical indices that share their higher digits: x + 1 only
+touches the constant digit, so the pairs (x, x + 1) are the adjacent
+columns of each row plus the wrap from column p - 1 to column 0, less the
+two pairs that touch index 0.  The pass is plain slicing, the same for
+prime and extension fields.
 
 Derived matrices:
 
@@ -106,40 +106,6 @@ class CycloCtx:
     def __repr__(self):
         return "CycloCtx(q=%d, ell=%d, k=%d, qprime=%d)" % (
             self.q, self.ell, self.k, self.qprime)
-
-
-def build_cyclo(field, ell):
-    return CycloCtx(field, ell)
-
-
-def table_by_set_enumeration(field, ell):
-    """The full table recomputed by literal set intersection.
-
-    Builds every coset as a Python set of canonical indices and intersects
-    1 + g^i K with g^j K elementwise.  O(ell * q), from the power table and
-    field addition alone, so independent of the class array and the table
-    pass; used as the oracle for them.
-    """
-    q = field.q
-    if (q - 1) % ell != 0:
-        raise InvalidEll("ell must divide q-1")
-    cosets = [frozenset(int(v) for v in field.coset_indices(i, ell))
-              for i in range(ell)]
-    add = field.add_idx
-    table = []
-    for i in range(ell):
-        shifted = {add(1, x) for x in cosets[i]}
-        table.append([len(shifted & cosets[j]) for j in range(ell)])
-    return table
-
-
-def cyclotomic_number_by_pair_count(field, ell, i, j):
-    """(i, j) recomputed by brute-force pair enumeration: the number of
-    ordered pairs (a, b) in g^i K x g^j K with 1 + a = b."""
-    add = field.add_idx
-    ai = [int(v) for v in field.coset_indices(i, ell)]
-    bj = set(int(v) for v in field.coset_indices(j, ell))
-    return sum(1 for a in ai if add(1, a) in bj)
 
 
 @dataclass

@@ -2,13 +2,12 @@
 
 An element is its canonical index, a plain int in [0, q): the polynomial
 sum_i c_i * x^i with c_i in [0, p) has index sum_i c_i * p**i.  There is no
-element class; the ``*_idx`` methods, ``dlog_of`` and the power and dlog
-tables (flat arrays with O(1) addressing) all take and give indices.  One
-kernel, ``power_digits``, builds the powers of any element (or block) by
-doubling; its int64 steps are exact while n (p-1)^2 < 2^63, else
-ContextTooLarge is raised.  K, the ell-th powers, serves the screen and the
-classes; the power and dlog tables (powers of g) serve dlog_of,
-coset_indices and the oracles.  All are lazy, within TABLE_BUDGET_BYTES.
+element class; the ``*_idx`` methods and ``dlog_of`` take and give indices.
+One kernel, ``power_digits``, builds the powers of any element (or block)
+by doubling; its int64 steps are exact while n (p-1)^2 < 2^63, else
+ContextTooLarge is raised.  K, the ell-th powers, is built lazily within
+TABLE_BUDGET_BYTES and serves the screen and the classes.  No table of all
+powers of g is kept: ``dlog_of`` works in the subgroups of prime order.
 ``shifted`` is the one kernel that adds an element to an array over F_q.
 
 The generator is the element of smallest canonical index with full
@@ -19,6 +18,8 @@ polynomials, falling back to the lexicographically least monic irreducible.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -49,8 +50,9 @@ CONWAY_POLYNOMIALS = {
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Bytes the table build may hold at its peak, 8 (n + 2) q: the kernel's digit
-# array and indices, or pows, dlog and one arange; admits every q <= 10^7.
+# Bytes a build over all of F_q may hold at its peak, 8 (n + 2) q: the
+# kernel's digit array, its indices and the class array; admits every
+# q <= 10^7.
 TABLE_BUDGET_BYTES = 1 << 30
 
 
@@ -248,15 +250,15 @@ def find_irreducible(p, n):
 
 
 class FieldCtx:
-    """A concrete F_{p^n}: modulus, generator, and power/dlog tables.
+    """A concrete F_{p^n}: modulus, generator and the factors of q - 1.
 
     Construction resolves the modulus, factors q - 1 and finds the
-    generator.  The int64 power and dlog tables are built once, on first
-    access of ``pows`` or ``dlog``; nothing changes after that.
+    generator.  The digits of K, the ell-th powers, are built once per ell
+    on first use; nothing else changes after construction.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "generator_index", "_pows",
-                 "_dlog", "_subgroups", "factors_qm1", "_mod_list")
+    __slots__ = ("p", "n", "q", "modulus", "generator_index", "_subgroups",
+                 "factors_qm1", "_mod_list")
 
     def __init__(self, p, n=1, modulus=None, generator=None):
         p = int(p)
@@ -278,7 +280,6 @@ class FieldCtx:
         self._mod_list = list(self.modulus)
         self.factors_qm1 = factorize(self.q - 1)
         self.generator_index = self._resolve_generator(generator)
-        self._pows = self._dlog = None
         self._subgroups = {}
 
     # -- construction helpers ------------------------------------------
@@ -326,31 +327,6 @@ class FieldCtx:
             raise ContextTooLarge("%s of F_%d would take %d bytes, past the "
                                   "%d-byte budget"
                                   % (what, self.q, need, TABLE_BUDGET_BYTES))
-
-    def _build_tables(self):
-        self.require_table_budget("power/dlog tables")
-        q, m = self.q, self.q - 1
-        pows = self.encode_array(power_digits(self, self.generator_index, m))
-        dlog = np.full(q, -1, dtype=np.int64)
-        dlog[pows] = np.arange(m, dtype=np.int64)
-        if int(dlog[0]) != -1 or int(np.count_nonzero(dlog < 0)) != 1:
-            raise InternalError("dlog table is not a bijection; "
-                                "generator lacks full order")
-        self._pows, self._dlog = pows, dlog
-
-    @property
-    def pows(self):
-        """Canonical indices of g^0 .. g^(q-2); built on first access."""
-        if self._pows is None:
-            self._build_tables()
-        return self._pows
-
-    @property
-    def dlog(self):
-        """dlog[x] = e with g^e = x for x != 0, and dlog[0] = -1."""
-        if self._dlog is None:
-            self._build_tables()
-        return self._dlog
 
     def subgroup_digits(self, ell):
         """Digits of K = {g^(ell t)}, t < (q-1)/ell: read-only, built once."""
@@ -458,15 +434,49 @@ class FieldCtx:
     # -- public surface --------------------------------------------------
 
     def dlog_of(self, x):
-        """Exponent e with generator**e == x; raises ZeroElement on x == 0."""
+        """Exponent e in [0, q - 1) with generator**e == x; raises
+        ZeroElement on x == 0.
+
+        Pohlig-Hellman (IEEE Trans. Inf. Theory 24, 1978) on the factors of
+        q - 1: for each r^a, the a base-r digits of e mod r^a each come from
+        a baby-step giant-step in the subgroup of order r, and the CRT joins
+        the residues.  The ceil(sqrt r) baby steps are one sorted index
+        array from ``power_digits``, within TABLE_BUDGET_BYTES at
+        8 (n + 2) ceil(sqrt r) bytes; the giant steps stop at the first hit.
+        """
         idx = int(x) % self.q
         if idx == 0:
             raise ZeroElement("dlog of zero is undefined")
-        return int(self.dlog[idx])
-
-    def coset_indices(self, i, ell):
-        """Canonical indices of the coset g^i K, where K is the ell-th powers."""
-        return self.pows[i % ell::ell]
+        m, e, mod = self.q - 1, 0, 1
+        for r, a in self.factors_qm1:
+            w = isqrt(r - 1) + 1
+            self.require_table_budget("the baby steps of order %d" % r,
+                                      8 * (self.n + 2) * w)
+            ra = r ** a
+            g_r = self.pow_idx(self.generator_index, m // ra)  # order r^a
+            x_r = self.pow_idx(idx, m // ra)
+            gamma = self.pow_idx(g_r, ra // r)                  # order r
+            baby = self.encode_array(power_digits(self, gamma, w))
+            order = np.argsort(baby)            # sorted baby[s] = gamma^order[s]
+            baby = baby[order]
+            giant = self.pow_idx(gamma, r - w)                  # gamma^(-w)
+            er = 0
+            for i in range(a):
+                # h = (x_r g_r^(-er))^(r^(a-1-i)) = gamma^d, d the next digit
+                h = self.mul_idx(x_r, self.pow_idx(g_r, -er % ra))
+                h = self.pow_idx(h, ra // r ** (i + 1))
+                for t in range(-(-r // w)):         # h = gamma^(d - t w)
+                    s = int(baby.searchsorted(h))
+                    if s < w and baby[s] == h:
+                        break
+                    h = self.mul_idx(h, giant)
+                else:
+                    raise InternalError("no discrete log in the subgroup of "
+                                        "order %d" % r)
+                er += (t * w + int(order[s])) * r ** i
+            e += (er - e) * pow(mod, -1, ra) % ra * mod
+            mod *= ra
+        return e
 
     def __repr__(self):
         if self.n == 1:

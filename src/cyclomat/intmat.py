@@ -69,18 +69,6 @@ class IntMatrix:
         m.rows[s % d][t % d] = 1
         return m
 
-    @classmethod
-    def perm_shift(cls, d, v):
-        """Cyclic-shift permutation P_v: (i, j)-entry is 1 iff i - j = v (mod d).
-
-        Satisfies P_v^T = P_v^{-1} = P_{-v}, and left-multiplying by P_v moves
-        row i-v of the operand into row i (rows cycled down by v).
-        """
-        if d < 1:
-            raise DimensionMismatch("order must be >= 1")
-        return cls([[1 if (i - j - v) % d == 0 else 0 for j in range(d)]
-                    for i in range(d)])
-
     # ------------------------------------------------------------------
     # basics
     # ------------------------------------------------------------------
@@ -164,9 +152,6 @@ class IntMatrix:
         c %= d
         return IntMatrix._of([row[:c] + row[c + 1:]
                               for i, row in enumerate(self.rows) if i != r])
-
-    def to_lists(self):
-        return [row[:] for row in self.rows]
 
     def _add_to_diagonal(self, c):
         # self + c I in place: only for a fresh result no one else holds

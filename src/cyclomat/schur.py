@@ -37,7 +37,9 @@ Matrix laws stack their sides at (u, 0) for all u at once, from S[u] = A_u.
 With m the largest of k and |table entries|, no product, partial sum or
 result exceeds (ell+2) ell (m+1)^2 (a trace adds ell^2 products of size
 m^2).  Below 2^53 the arrays are float64, whose BLAS products are then exact
-integers; past it they are Python ints (dtype=object).  The four-index
+integers; past it they are Python ints (dtype=object).  tr(A^3) adds ell^2
+terms of A^2 times A, each up to ell m^3, so its last sum runs on Python
+ints.  The four-index
 identity reads no ell^3 stack: (w-a, b-a) over w is column b-a of A cycled
 down by a, window ell-a of that column of [A; A], so it takes O(ell^2 +
 chunk ell) memory and runs past the tensor laws' refusal.
@@ -45,6 +47,7 @@ chunk ell) memory and runs past the tensor laws' refusal.
 
 from __future__ import annotations
 
+import operator
 import random
 
 import numpy as np
@@ -269,8 +272,10 @@ def verify_commutator(ctx):
 
 
 def _trace_of_product(x, y):
-    return sum(sum(a * b for a, b in zip(rx, cy))
-               for rx, cy in zip(x.rows, y.transpose().rows))
+    """tr(x y) = sum of x * y^T over two arrays, on Python ints, for sums
+    past the law bound."""
+    return sum(map(operator.mul, map(int, x.ravel().tolist()),
+                   map(int, y.T.ravel().tolist())))
 
 
 def verify_traces(ctx):
@@ -291,13 +296,13 @@ def verify_traces(ctx):
              s.reshape(ell, -1) @ s[0].T.reshape(-1), want,
              lambda lhs, rhs, v: {"expected": int(rhs)})
 
-    a = shifted_matrix(ctx, 0)
-    tr2 = _trace_of_product(a, a)
+    a = s[0]
+    tr2 = int((a * a.T).sum())
     want2 = k * (k - 1) + (q - 2 * k if k % 2 == 0 else 0)
     res.add("trace_of_square", tr2 == want2,
             detail={"computed": tr2, "expected": want2})
 
-    tr3 = _trace_of_product(a * a, a)
+    tr3 = _trace_of_product(a @ a, a)
     want3 = ctx.num(0, qp) * (q - 3 * k) + k * k * (k - 1)
     res.add("trace_of_cube", tr3 == want3,
             detail={"computed": tr3, "expected": want3})
@@ -309,8 +314,8 @@ def verify_sum_of_squares(ctx):
     tr(A^T A)."""
     total = sum(v * v for row in ctx.table for v in row)
     want = ctx.q + ctx.k * (ctx.k - 3)
-    a = IntMatrix(ctx.table)
-    ok = total == want == _trace_of_product(a.transpose(), a)
+    a = np.array(ctx.table, dtype=object)
+    ok = total == want == _trace_of_product(a.T, a)
     res = VerifySuiteResult()
     res.add("sum_of_squares", ok,
             detail={"computed": total, "expected": want})

@@ -3,7 +3,8 @@ and for the difference counts of the screen.
 
 GroupRingElem multiplies finitely supported combinations of additive-group
 elements by pair enumeration with the field's own addition, so its products
-share nothing with the character transforms in cyclomat.schur.
+share nothing with the character transforms in cyclomat.schur.  Cosets come
+from the repeated-multiplication power table of oracles.py.
 class_convolution_counts reads one pair's counts off those transforms, for
 comparison with the oracle.  difference_counts_literal enumerates every pair
 of K x K with the field's subtraction, sharing nothing with the shifted
@@ -11,6 +12,8 @@ membership arrays of cyclomat.diffset.
 """
 
 from cyclomat.schur import _class_products
+
+from oracles import coset_indices, power_table
 
 
 class GroupRingElem:
@@ -51,7 +54,7 @@ class GroupRingElem:
 
 def class_sum(ctx, i):
     """alpha_i: the indicator sum of the coset g^i K, with k terms."""
-    idxs = ctx.field.coset_indices(i, ctx.ell)
+    idxs = coset_indices(ctx.field, i, ctx.ell)
     return GroupRingElem(ctx.field, {int(v): 1 for v in idxs})
 
 
@@ -64,7 +67,8 @@ def class_convolution_counts(ctx, i, v):
     u = (i - v) % ell
     prod = next(c[u - start] for start, c in _class_products(ctx)
                 if u < start + len(c))
-    at = field.pows[(field.dlog - v) % (ctx.q - 1)]
+    pows, dlog = power_table(field)
+    at = pows[(dlog - v) % (ctx.q - 1)]
     at[0] = 0
     return prod[at]
 
@@ -73,7 +77,7 @@ def difference_counts_literal(field, ell):
     """Representation counts for every z in F_q by full pair enumeration."""
     q = field.q
     sub = field.sub_idx
-    kset = [int(v) for v in field.coset_indices(0, ell)]
+    kset = [int(v) for v in coset_indices(field, 0, ell)]
     counts = [0] * q
     for x in kset:
         for y in kset:

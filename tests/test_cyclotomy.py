@@ -13,9 +13,7 @@ from cyclomat import (
     InvalidEll,
     build_field,
     build_matrices,
-    cyclotomic_number_by_pair_count,
     shifted_matrix,
-    table_by_set_enumeration,
     verify_elementary_laws,
 )
 
@@ -26,6 +24,11 @@ from cyclomat.diffset import lehmer_screen
 
 import reference_data as ref
 from conftest import field_of
+from oracles import (
+    cyclotomic_number_by_pair_count,
+    perm_shift,
+    table_by_set_enumeration,
+)
 
 
 def test_reference_matrices(cyclo):
@@ -129,7 +132,7 @@ def test_derived_matrices(cyclo):
     assert dm.M == IntMatrix(ref.M_73_L8)
     assert dm.B == IntMatrix(ref.B_73_L8)
     assert dm.S == IntMatrix(ref.S_73_L8)
-    assert dm.M == IntMatrix.perm_shift(8, ctx.qprime) * dm.A
+    assert dm.M == perm_shift(8, ctx.qprime) * dm.A
     assert dm.M.is_symmetric() and dm.S.is_symmetric()
     for p, b in ((37, ref.B_37_L4), (101, ref.B_101_L4), (197, ref.B_197_L4)):
         assert build_matrices(cyclo(p, 1, 4)).B == IntMatrix(b)
@@ -139,10 +142,10 @@ def test_minor_row_permutation(cyclo):
     # S = P' B for a permutation matrix P' (orthogonal)
     for (p, n, ell) in ((73, 1, 8), (131, 1, 10), (7, 3, 6), (13, 1, 4)):
         dm = build_matrices(cyclo(p, n, ell))
-        b_rows = dm.B.to_lists()
+        b_rows = dm.B.rows
         perm_rows = []
         used = set()
-        for row in dm.S.to_lists():
+        for row in dm.S.rows:
             hit = next(i for i in range(len(b_rows))
                        if i not in used and b_rows[i] == row)
             used.add(hit)
@@ -175,7 +178,7 @@ def test_shifted_matrix_properties(cyclo):
     assert shifted_matrix(ctx, ctx.qprime) == a.transpose()
     ctx343 = cyclo(7, 3, 6)
     a343 = IntMatrix(ctx343.table)
-    p2 = IntMatrix.perm_shift(6, 2)
+    p2 = perm_shift(6, 2)
     assert shifted_matrix(ctx343, 2) == p2 * a343 * p2.transpose()
     for v in range(6):
         assert shifted_matrix(ctx343, v + ctx343.qprime) == \

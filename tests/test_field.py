@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from cyclomat import (
     CompositeP,
     ContextTooLarge,
+    CycloCtx,
     EvenP,
     InvalidDegree,
     NotAGenerator,
@@ -23,9 +24,10 @@ from cyclomat import (
 from cyclomat import field as field_module
 from cyclomat.cli import main as cli_main
 from cyclomat.diffset import SEARCH_MAX_Q
-from cyclomat.field import CONWAY_POLYNOMIALS, FieldCtx
+from cyclomat.field import CONWAY_POLYNOMIALS, FieldCtx, power_digits
 
 from conftest import field_of
+from oracles import power_table
 
 
 def test_is_prime_small():
@@ -200,12 +202,6 @@ def test_field_elem_arithmetic(fields):
         f.pow_idx(0, -1)
 
 
-def test_dlog_table_is_bijection(fields):
-    f = fields(31)
-    seen = sorted(int(f.dlog[i]) for i in range(1, 31))
-    assert seen == list(range(30))
-
-
 # (p, n) small enough for the repeated-multiplication reference
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (131, 1), (2029, 1), (3, 2), (3, 3),
                 (3, 4), (3, 5), (3, 6), (3, 7), (5, 2), (5, 3), (5, 4), (7, 2),
@@ -226,6 +222,8 @@ def _next_irreducible(p, n, start):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_power_table_matches_repeated_multiplication(data):
+    # the doubling kernel and dlog_of against the generator's powers by
+    # repeated multiplication, for random moduli and generator overrides
     p, n = data.draw(st.sampled_from(SMALL_FIELDS))
     modulus = None
     if n > 1 and data.draw(st.booleans()):
@@ -240,14 +238,41 @@ def test_power_table_matches_repeated_multiplication(data):
     g = f.generator_index
     if generator is not None:
         assert g == generator
-    # reference: the generator's powers by repeated multiplication
-    ref = [1]
-    for _ in range(f.q - 2):
-        ref.append(f.mul_idx(ref[-1], g))
-    assert f.mul_idx(ref[-1], g) == 1
-    assert f.pows.tolist() == ref
-    assert int(f.dlog[0]) == -1
-    assert [int(f.dlog[v]) for v in ref] == list(range(f.q - 1))
+    pows, dlog = power_table(f)
+    assert f.encode_array(power_digits(f, g, f.q - 1)).tolist() == \
+        pows.tolist()
+    xs = data.draw(st.lists(st.integers(1, f.q - 1), max_size=40))
+    assert [f.dlog_of(x) for x in xs] == [int(dlog[x]) for x in xs]
+
+
+def test_dlog_of_matches_power_table():
+    # every nonzero x of every listed field, default modulus and generator
+    for p, n in SMALL_FIELDS:
+        f = field_of(p, n)
+        dlog = power_table(f)[1]
+        assert [f.dlog_of(x) for x in range(1, f.q)] == \
+            dlog[1:].tolist(), (p, n)
+
+
+@pytest.mark.parametrize("p", [1000000007, 2 ** 31 - 1])
+def test_dlog_of_without_a_table(p):
+    # q - 1 = 2 * 500000003 and 2 * 3^2 * 7 * 11 * 31 * 151 * 331: about
+    # sqrt(r) steps for each prime r, where a table of q - 1 powers (24 GB
+    # for p = 10^9 + 7) was refused
+    f = build_field(p)
+    rng = random.Random(p)
+    xs = [1, p - 1, f.generator_index] + [rng.randrange(1, p)
+                                          for _ in range(5)]
+    tracemalloc.start()
+    try:
+        es = [f.dlog_of(x) for x in xs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert es[:3] == [0, (p - 1) // 2, 1]
+    for x, e in zip(xs, es):
+        assert 0 <= e < p - 1 and f.pow_idx(f.generator_index, e) == x
 
 
 @st.composite
@@ -293,16 +318,21 @@ def test_int64_table_bound_guard():
 
 
 def test_table_budget_guard(monkeypatch):
-    # the lazy table build needs 8 (n + 2) q bytes at its peak; it is
-    # refused one byte past the budget and admitted at it
-    for p, n in ((10007, 1), (7, 3)):
+    # K's digits and the classes are each guarded at 8 (n + 2) q bytes, a
+    # build over all of F_q: refused one byte past the budget, admitted at it
+    for p, n, ell in ((10007, 1, 2), (7, 3, 6)):
         need = 8 * (n + 2) * p ** n
         monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", need - 1)
         f = build_field(p, n)
         with pytest.raises(ContextTooLarge):
-            f.pows
+            f.subgroup_digits(ell)
         monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", need)
-        assert len(f.pows) == f.q - 1 and len(f.dlog) == f.q
+        assert f.subgroup_digits(ell).shape == (n, (f.q - 1) // ell)
+        monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", need - 1)
+        with pytest.raises(ContextTooLarge):
+            CycloCtx(f, ell)
+        monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", need)
+        assert CycloCtx(f, ell).classes.shape == (f.q,)
     monkeypatch.undo()
     # the budget admits every odd prime power q <= SEARCH_MAX_Q
     worst = 8 * 3 * SEARCH_MAX_Q
@@ -316,14 +346,13 @@ def test_table_budget_guard(monkeypatch):
 
 
 def test_table_budget_refuses_without_allocating():
-    # p near 10^9 would need 24 GB of tables: refused before any allocation,
-    # and the command line reports it as a usage error (exit 1)
+    # p near 10^9 would need 24 GB for K's digits: refused before any
+    # allocation, and the command line reports it as a usage error (exit 1)
     tracemalloc.start()
     try:
         f = build_field(1000000007)
-        for name in ("pows", "dlog"):
-            with pytest.raises(ContextTooLarge):
-                getattr(f, name)
+        with pytest.raises(ContextTooLarge):
+            f.subgroup_digits(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

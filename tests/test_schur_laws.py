@@ -34,6 +34,7 @@ from cyclomat import schur
 from cyclomat.report import dumps, jsonable
 
 from group_ring import class_convolution_counts, class_sum
+from oracles import power_table
 
 
 def _d(ell, a, b):
@@ -162,7 +163,7 @@ def ref_trace_checks(ctx):
 
 def ref_structure_constants(ctx):
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
-    cls = ctx.field.dlog % ell
+    cls = power_table(ctx.field)[1] % ell
 
     def check(i, v):
         prod = class_sum(ctx, i) * class_sum(ctx, v)
@@ -349,6 +350,39 @@ def test_law_dtype_bound(fields):
     assert schur._law_dtype(ctx) is object
     res = verify_matrix_product_law(ctx)
     assert not res.passed and res.checks[0].detail["u"] == 0
+
+
+def _ref_power_traces(ctx):
+    """The trace_of_square and trace_of_cube details by Python-int loops."""
+    ell, k, qp, q, t = ctx.ell, ctx.k, ctx.qprime, ctx.q, ctx.table
+    r = range(ell)
+    tr2 = sum(t[i][j] * t[j][i] for i in r for j in r)
+    tr3 = sum(t[i][j] * t[j][m] * t[m][i] for i in r for j in r for m in r)
+    return ({"computed": tr2,
+             "expected": k * (k - 1) + (q - 2 * k if k % 2 == 0 else 0)},
+            {"computed": tr3,
+             "expected": ctx.num(0, qp) * (q - 3 * k) + k * k * (k - 1)})
+
+
+@pytest.mark.parametrize("entry,natural", [(None, np.float64),
+                                           (3 * 10 ** 5, np.float64),
+                                           (10 ** 12, object)])
+def test_power_traces_are_exact(fields, monkeypatch, entry, natural):
+    # (0, 0) = 3e5 keeps the law bound below 2^53, but its cube alone is
+    # 2.7e16; at 1e12 the cube passes 2^63: tr(A^3) stays exact in both
+    ctx = CycloCtx(fields(131, 1), 10)
+    if entry is not None:
+        ctx.table[0][0] = entry
+    assert schur._law_dtype(ctx) is natural
+    want = _ref_power_traces(ctx)
+    for dtype in DTYPES:
+        if dtype is not None:
+            monkeypatch.setattr(schur, "_law_dtype", lambda c, d=dtype: d)
+        checks = verify_traces(ctx).checks[2:]
+        for check, name, detail in zip(
+                checks, ("trace_of_square", "trace_of_cube"), want):
+            _assert_check(check, name, detail,
+                          ok=detail["computed"] == detail["expected"])
 
 
 _SMALL_FIELDS = [(p, n) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,

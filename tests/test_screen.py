@@ -1,6 +1,6 @@
 """The search screen on K alone, the one class-count route it shares with
-the bruteforce and modified detectors, the classes built from K's cosets,
-and the lazy power/dlog tables."""
+the bruteforce and modified detectors, and the classes built from K's
+cosets."""
 
 import time
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyclomat import CycloCtx, FieldCtx, build_field
+from cyclomat import CycloCtx, build_field
 from cyclomat import diffset, iter_search, search
 from cyclomat.diffset import (
     SEARCH_MAX_Q,
@@ -21,6 +21,7 @@ from cyclomat.schur import verify_structure_constants
 
 from conftest import field_of, odd_prime_power
 from group_ring import difference_counts_literal
+from oracles import power_table
 
 # (p, n) with q <= 2000, prime and extension fields
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (37, 1), (73, 1), (101, 1),
@@ -63,8 +64,9 @@ def test_class_counts_match_literal_and_table(data):
     literal = difference_counts_literal(field, ell)
     by_class = _difference_counts_by_class(field, ell)
     assert len(by_class) == ell
+    pows = power_table(field)[0]
     for e in range(q - 1):
-        assert literal[int(field.pows[e])] == by_class[e % ell]
+        assert literal[int(pows[e])] == by_class[e % ell]
     # K ∪ {0}: the table's modified criterion counts
     crit = [ctx.table[i][0] + (i == 0) + (i == ctx.qprime) for i in range(ell)]
     assert _difference_counts_by_class(field, ell, with_zero=True) == crit
@@ -143,20 +145,6 @@ def test_power_digits_of_any_element(data):
                                                 block=digits[:, :w]), digits)
 
 
-def test_search_builds_tables_only_for_hits(monkeypatch):
-    built = []
-    original = FieldCtx._build_tables
-
-    def counted(self):
-        built.append(self.q)
-        return original(self)
-
-    monkeypatch.setattr(FieldCtx, "_build_tables", counted)
-    assert [r.q for r in search(4, 2000)] == [37, 101, 197, 677]
-    # hits take their classes from the screen's cosets of K
-    assert built == []
-
-
 def test_search_reuses_screen_counts(monkeypatch):
     calls = []
     original = diffset._difference_counts_by_class
@@ -174,24 +162,6 @@ def test_search_reuses_screen_counts(monkeypatch):
     # bruteforce detector; q = 5 (k = 1) is rejected before any count, and
     # Mann's test drops 53, 149, 181, 277, 293 and 373 before their fields
     assert calls == [37, 101, 197, 229, 389]
-
-
-def test_field_builds_tables_lazily(monkeypatch):
-    built = []
-    original = FieldCtx._build_tables
-
-    def counted(self):
-        built.append(self.q)
-        return original(self)
-
-    monkeypatch.setattr(FieldCtx, "_build_tables", counted)
-    field = build_field(7, 3)
-    assert built == []
-    assert lehmer_screen(field, 6) is None and built == []
-    pows = field.pows
-    assert field.dlog[int(pows[5])] == 5 and field.pows is pows
-    assert built == [343]
-    assert isinstance(pows, np.ndarray) and pows.dtype == np.int64
 
 
 @st.composite
@@ -215,13 +185,14 @@ def _field_and_any_ell(draw):
 @example((1009, 1, 1008))
 def test_classes_from_cosets_match_dlog(case):
     # the production classes (K's digits carried to each coset by doubling,
-    # then one scatter) against the discrete-log table, the oracle route
+    # then one scatter) against the discrete-log table of repeated
+    # multiplication, the oracle route
     p, n, ell = case
     field = build_field(p, n)
     ctx = CycloCtx(field, ell)
     assert ctx.classes.shape == (field.q,) and ctx.classes.dtype == np.int64
     assert ctx.classes[0] == 0
-    assert (ctx.classes[1:] == field.dlog[1:] % ell).all()
+    assert (ctx.classes[1:] == power_table(field)[1][1:] % ell).all()
 
 
 def test_classes_and_subgroup_digits_are_read_only():

@@ -1,9 +1,14 @@
 """Rules on the package source itself."""
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import cyclomat
+
+import group_ring
+import oracles
 
 SOURCES = sorted(Path(cyclomat.__file__).parent.glob("*.py"))
 
@@ -15,3 +20,24 @@ def test_no_bare_assert_in_the_package():
              if isinstance(node, ast.Assert)]
     assert len(SOURCES) > 5
     assert found == []
+
+
+# Names of the production kernels that build powers, classes and shifts; an
+# oracle that reached one of them would check a route against itself.
+PRODUCTION_KERNELS = {"power_digits", "subgroup_digits", "encode_array",
+                      "shifted", "classes"}
+
+
+def test_oracles_share_no_production_kernel():
+    routes = [oracles.power_table.__wrapped__, oracles.coset_indices,
+              oracles.table_by_set_enumeration,
+              oracles.cyclotomic_number_by_pair_count,
+              group_ring.difference_counts_literal,
+              group_ring.GroupRingElem.__mul__]
+    for func in routes:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        named = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        assert not named & PRODUCTION_KERNELS, func.__qualname__
