@@ -3,9 +3,15 @@
 An element is its canonical index, a plain int in [0, q): the polynomial
 sum_i c_i * x^i with c_i in [0, p) has index sum_i c_i * p**i.  There is no
 element class; the ``*_idx`` methods and ``dlog_of`` take and give indices.
-One kernel, ``power_digits``, builds the powers of any element (or block)
-by doubling; its int64 steps are exact while n (p-1)^2 < 2^63, else
-ContextTooLarge is raised.  K, the ell-th powers, is built lazily within
+Multiplication has one representation: ``mul_matrix(h)``, the matrix of
+multiplication by h on digit vectors, is the sum of h_i C^i for C, the
+companion matrix of the modulus (multiplication by x; Lidl and
+Niederreiter, *Finite Fields*, ch. 2).  ``mul_idx``, ``pow_idx`` and the
+one power kernel, ``power_digits``, which builds the powers of any element
+(or block) by doubling, run on it; prime fields keep native ints in
+``mul_idx`` and ``pow_idx``.  ``is_irreducible`` runs Rabin's test on C.
+The int64 steps are exact while n (p-1)^2 < 2^63, else ContextTooLarge is
+raised.  K, the ell-th powers, is built lazily within
 TABLE_BUDGET_BYTES and serves the screen and the classes.  No table of all
 powers of g is kept: ``dlog_of`` works in the subgroups of prime order.
 ``shifted`` is the one kernel that adds an element to an array over F_q.
@@ -34,6 +40,7 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
+from .intmat import IntMatrix
 
 # Conway polynomials for small (p, n), coefficients low-to-high, monic.
 CONWAY_POLYNOMIALS = {
@@ -152,86 +159,50 @@ def factorize(m):
     return sorted(factors.items())
 
 
-# ----------------------------------------------------------------------
-# polynomial arithmetic over F_p (coefficient lists low-to-high, trimmed)
-# ----------------------------------------------------------------------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+def _companion(coeffs, p, dtype=np.int64):
+    """C, the matrix of multiplication by x modulo the monic ``coeffs``
+    (low-to-high) on digit vectors: column i holds the digits of x^(i+1),
+    the last one those of x^n = -(c_0 + c_1 x + ... + c_(n-1) x^(n-1))."""
+    mat = np.eye(len(coeffs) - 1, k=-1, dtype=dtype)
+    mat[:, -1] = [-c % p for c in coeffs[:-1]]
+    return mat
 
 
-def _pmod(a, f, p):
-    a = a[:]
-    degf = len(f) - 1
-    inv = pow(f[-1], p - 2, p)
-    while len(a) > degf:
-        c = a[-1] * inv % p
-        k = len(a) - len(f)
-        if c:
-            for i in range(len(f)):
-                a[k + i] = (a[k + i] - c * f[i]) % p
-        a.pop()
-        _ptrim(a)
-        if len(a) <= degf:
-            break
-    return _ptrim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppowmod(a, e, f, p):
-    out = [1]
-    base = _pmod(a, f, p)
+def _matpow(mat, e, p):
+    """mat^e mod p for e >= 0, by square-and-multiply."""
+    out = np.eye(len(mat), dtype=mat.dtype)
     while e:
         if e & 1:
-            out = _pmod(_pmul(out, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
+            out = out @ mat % p
         e >>= 1
+        if e:
+            mat = mat @ mat % p
     return out
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _ptrim(out)
-
-
 def is_irreducible(coeffs, p):
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    f = [c % p for c in coeffs]
+    """Whether the monic ``coeffs`` (low-to-high), of degree n >= 1, is
+    irreducible over F_p, by Rabin's test (Rabin, "Probabilistic algorithms
+    in finite fields", SIAM J. Comput. 9, 1980): f is irreducible iff
+    x^(p^n) = x mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r | n.
+
+    Both conditions run on C, the companion matrix of f (multiplication by
+    x in F_p[x]/(f)), where h(C) multiplies by h mod f.  The first reads
+    C^(p^n) e_0 = C e_0.  A gcd is 1 iff x^(p^(n/r)) - x is a unit mod f,
+    that is iff multiplication by it is invertible: det(C^(p^(n/r)) - C)
+    is nonzero mod p, taken exactly by ``IntMatrix.det``.  Products are
+    int64 while n (p-1)^2 < 2^63 and Python ints past that.
+    """
+    f = [int(c) % p for c in coeffs]
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
         return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    # gcd(x^(p^(n/r)) - x, f) must be trivial for every prime r | n
-    for r, _ in factorize(n):
-        h = _ppowmod(x, p ** (n // r), f, p)
-        if len(_pgcd(_psub(h, x, p), f, p)) - 1 != 0:
-            return False
-    # and the Frobenius closes: x^(p^n) = x mod f
-    h = _ppowmod(x, p ** n, f, p)
-    return _psub(h, x, p) == []
+    c = _companion(f, p, np.int64 if n * (p - 1) ** 2 < 2 ** 63 else object)
+    # the gcds first, largest r first: its exponent p^(n/r) is the
+    # smallest, and most reducible f (every one with a root) fail there
+    return all(IntMatrix((_matpow(c, p ** (n // r), p) - c).tolist()).det()
+               % p for r, _ in reversed(factorize(n))) \
+        and np.array_equal(_matpow(c, p ** n, p)[:, 0], c[:, 0])
 
 
 def find_irreducible(p, n):
@@ -252,13 +223,14 @@ def find_irreducible(p, n):
 class FieldCtx:
     """A concrete F_{p^n}: modulus, generator and the factors of q - 1.
 
-    Construction resolves the modulus, factors q - 1 and finds the
-    generator.  The digits of K, the ell-th powers, are built once per ell
-    on first use; nothing else changes after construction.
+    Construction resolves the modulus, stacks the powers C^0 .. C^(n-1) of
+    its companion matrix C, factors q - 1 and finds the generator.  The
+    digits of K, the ell-th powers, are built once per ell on first use;
+    nothing else changes after construction.
     """
 
     __slots__ = ("p", "n", "q", "modulus", "generator_index", "_subgroups",
-                 "factors_qm1", "_mod_list")
+                 "factors_qm1", "_x_powers")
 
     def __init__(self, p, n=1, modulus=None, generator=None):
         p = int(p)
@@ -277,7 +249,12 @@ class FieldCtx:
         self.n = n
         self.q = p ** n
         self.modulus = self._resolve_modulus(modulus)
-        self._mod_list = list(self.modulus)
+        # row i is C^i, flattened; for n == 1 the one row is C^0 = [1]
+        c = _companion(self.modulus, p)
+        powers = [np.eye(n, dtype=np.int64)]
+        for _ in range(n - 1):
+            powers.append(powers[-1] @ c % p)
+        self._x_powers = np.array(powers).reshape(n, n * n)
         self.factors_qm1 = factorize(self.q - 1)
         self.generator_index = self._resolve_generator(generator)
         self._subgroups = {}
@@ -402,14 +379,20 @@ class FieldCtx:
             mult *= p
         return out
 
+    def mul_matrix(self, h):
+        """M_h, the int64 (n, n) matrix of multiplication by h on digit
+        vectors (column j holds the digits of h x^j): the sum of h_i C^i
+        mod p over the digits h_i of h.  Each entry of the sum is below
+        n (p-1)^2 < 2^63."""
+        digits = np.array(self.decode(h), dtype=np.int64)
+        return (digits @ self._x_powers).reshape(self.n, self.n) % self.p
+
     def mul_idx(self, a, b):
         p = self.p
         if self.n == 1:
             return a * b % p
-        pa = _ptrim(list(self.decode(a)))
-        pb = _ptrim(list(self.decode(b)))
-        prod = _pmod(_pmul(pa, pb, p), self._mod_list, p)
-        return self.encode(prod + [0] * (self.n - len(prod)))
+        b = np.array(self.decode(b), dtype=np.int64)
+        return self.encode((self.mul_matrix(a) @ b % p).tolist())
 
     def pow_idx(self, a, e):
         """a^e; a negative e raises ZeroElement on a == 0, which has no
@@ -418,18 +401,8 @@ class FieldCtx:
             raise ZeroElement("zero has no inverse")
         if self.n == 1:
             return pow(a, e, self.p)
-        e = int(e)
-        if e < 0:
-            a = self.pow_idx(a, self.q - 2)
-            e = -e
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul_idx(out, base)
-            base = self.mul_idx(base, base)
-            e >>= 1
-        return out
+        e = int(e) % (self.q - 1) if e < 0 else int(e)
+        return self.encode(_matpow(self.mul_matrix(a), e, self.p)[:, 0].tolist())
 
     # -- public surface --------------------------------------------------
 
@@ -489,9 +462,9 @@ def power_digits(field, h, m, block=None):
     """Digit vectors of h^0 .. h^(m-1) in ``field``, an int64 (n, m) array;
     given an (n, w) digit ``block``, column j w + c is h^j times its column c.
 
-    Multiplication by h is F_p-linear on digit vectors; column i of its
-    matrix holds the digits of h * x^i.  Each step appends that matrix
-    times the columns so far, mod p, then squares the matrix mod p, so it
+    The field's one multiplication matrix, ``FieldCtx.mul_matrix(h)``,
+    multiplies by h on digit vectors.  Each step appends that matrix times
+    the columns so far, mod p, then squares the matrix mod p, so it
     multiplies by h^2 at the next step, where the columns double.  Products
     and their sums stay below n (p-1)^2 and indices below q; FieldCtx
     bounds both by 2^63.
@@ -500,8 +473,7 @@ def power_digits(field, h, m, block=None):
     digits = np.empty((n, m), dtype=np.int64)
     s = 1 if block is None else block.shape[1]
     digits[:, :s] = np.eye(n, 1, dtype=np.int64) if block is None else block
-    mat = np.array([field.decode(field.mul_idx(h, p ** i)) for i in range(n)],
-                   dtype=np.int64).T
+    mat = field.mul_matrix(h)
     while s < m:
         e = min(s, m - s)
         out = digits[:, s:s + e]

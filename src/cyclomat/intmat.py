@@ -558,7 +558,7 @@ def _bisect_root(c, a, b, d, tol_num, tol_den):
         raise InternalError("bracketing interval must change sign")
     w = b - a
     j = (-(-w * tol_den // (tol_num * d)) - 1).bit_length()
-    t, step, lo, hi = _grid_guess(c, a, b, d, j), 1, 0, 1 << j
+    t, step, lo, hi = _grid_guess(c, a, b, d, j, fa > 0), 1, 0, 1 << j
     a, d = a << j, d << j
 
     def left(t):  # grid point t lies left of the root
@@ -575,11 +575,16 @@ def _bisect_root(c, a, b, d, tol_num, tol_den):
     return end / d if _value_at(c, end, d) == 0 else (2 * end - w) / (2 * d)
 
 
-def _grid_guess(c, a, b, d, j):
-    # index on the grid of 2^j cells of (a/d, b/d] nearest the root there
-    # that float Newton steps from the middle reach, or 0 if they fail; the
-    # steps go on until one is within a cell (at most 100 of them), since a
-    # wide interval can leave its midpoint far outside quadratic convergence
+def _grid_guess(c, a, b, d, j, positive_left):
+    # index on the grid of 2^j cells of (a/d, b/d] nearest the root there,
+    # or 0 if the float steps fail.  Newton runs from the middle inside a
+    # float bracket that the sign at each iterate narrows (c has the sign of
+    # positive_left left of the root); a step that would leave the bracket,
+    # toward a neighbouring root, bisects it instead.  The steps go on until
+    # one is within a cell (at most 100 of them), since a wide interval can
+    # leave its midpoint far outside quadratic convergence.  The last
+    # iterate maps to the grid exactly: in floats, x - a/d loses cells when
+    # a/d is far from the root
     try:
         lo, hi = a / d, b / d
         x, cell = (lo + hi) / 2, (hi - lo) / 2 ** j
@@ -587,10 +592,20 @@ def _grid_guess(c, a, b, d, j):
             f = df = 0.0
             for v in reversed(c):
                 f, df = f * x + v, df * x + f
-            step = f / df
+            if (f > 0) == positive_left:
+                lo = x
+            else:
+                hi = x
+            step = f / df if df else math.inf
+            if not lo <= x - step <= hi:
+                step = x - (lo + hi) / 2
             x -= step
             if abs(step) <= cell:
                 break
-        return round((x - lo) / (hi - lo) * 2 ** j) if lo < x <= hi else 0
-    except (OverflowError, ZeroDivisionError):
+        if not a / d < x <= b / d:
+            return 0
+        num, den = x.as_integer_ratio()     # exact, as x's offset on a
+        return (((num * d - a * den) << (j + 1)) + (b - a) * den) \
+            // (2 * (b - a) * den)
+    except OverflowError:
         return 0

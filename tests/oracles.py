@@ -1,9 +1,10 @@
 """Oracle routes for the cyclotomic numbers, kept apart from the package.
 
-power_table lists the generator's powers by repeated mul_idx, one product
-at a time, so it shares nothing with the doubling kernel that builds K's
-digits and the classes in cyclomat.  The coset, set-enumeration and
-pair-count oracles read only that table and the field's own addition.
+power_table lists the generator's powers by repeated schoolbook products
+(``field_product``), one at a time, so it shares nothing with the
+multiplication matrix behind mul_idx, pow_idx and the doubling kernel that
+builds K's digits and the classes in cyclomat.  The coset, set-enumeration
+and pair-count oracles read only that table and the field's own addition.
 perm_shift is the cyclic permutation matrix P_v the derived matrices are
 checked against.
 """
@@ -15,6 +16,25 @@ import numpy as np
 from cyclomat import IntMatrix, InvalidEll
 
 
+def field_product(field, a, b):
+    """a * b in ``field`` by schoolbook: a * b % p on a prime field, else
+    the product of the coefficient lists, reduced by the monic modulus
+    from the top coefficient down."""
+    p, n = field.p, field.n
+    if n == 1:
+        return a * b % p
+    x, y = field.decode(a), field.decode(b)
+    prod = [0] * (2 * n - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            prod[i + j] += u * v
+    for top in range(2 * n - 2, n - 1, -1):
+        c = prod.pop()
+        for i, m in enumerate(field.modulus[:n]):
+            prod[top - n + i] -= c * m
+    return field.encode(prod)
+
+
 @lru_cache(maxsize=64)
 def power_table(field):
     """(pows, dlog), read-only int64 arrays: pows[e] = g^e for e < q - 1, by
@@ -22,8 +42,8 @@ def power_table(field):
     g, q = field.generator_index, field.q
     powers = [1]
     for _ in range(q - 2):
-        powers.append(field.mul_idx(powers[-1], g))
-    if field.mul_idx(powers[-1], g) != 1 or len(set(powers)) != q - 1:
+        powers.append(field_product(field, powers[-1], g))
+    if field_product(field, powers[-1], g) != 1 or len(set(powers)) != q - 1:
         raise AssertionError("generator of F_%d lacks full order" % q)
     pows = np.array(powers, dtype=np.int64)
     dlog = np.full(q, -1, dtype=np.int64)

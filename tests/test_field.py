@@ -27,7 +27,7 @@ from cyclomat.diffset import SEARCH_MAX_Q
 from cyclomat.field import CONWAY_POLYNOMIALS, FieldCtx, power_digits
 
 from conftest import field_of
-from oracles import power_table
+from oracles import field_product, power_table
 
 
 def test_is_prime_small():
@@ -173,6 +173,29 @@ def test_no_root_irreducibility_for_small_degrees():
         assert is_irreducible(coeffs, p) == (not has_root)
 
 
+@st.composite
+def monic_polynomials(draw):
+    # degree 1-12 over small p; degree 2-3 over p = 2^31 - 1, int64 at
+    # n = 2 with n (p-1)^2 just below 2^63, and p = 4294967311, past int64
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 2 ** 31 - 1, 4294967311]))
+    n = draw(st.integers(1, 12) if p < 100 else st.integers(2, 3))
+    return p, draw(st.lists(st.integers(0, p - 1), min_size=n,
+                            max_size=n)) + [1]
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(3, [2, 1, 0, 1, 1]))  # (x^2 + 1)(x^2 + x + 2): x^81 = x mod f
+@example(case=(3, [1, 0, 2, 0, 1]))  # (x^2 + 1)^2, not squarefree
+@example(case=(3, [2, 0, 0, 2, 1]))  # the Conway polynomial of F_81
+@given(case=monic_polynomials())
+def test_is_irreducible_matches_sympy(case):
+    import sympy
+
+    p, coeffs = case
+    want = sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=p)
+    assert is_irreducible(coeffs, p) == want.is_irreducible
+
+
 def test_supplied_modulus_validation():
     with pytest.raises(ReducibleModulus):
         build_field(7, 3, modulus=[0, 0, 0, 1])  # x^3 is reducible
@@ -222,8 +245,9 @@ def _next_irreducible(p, n, start):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_power_table_matches_repeated_multiplication(data):
-    # the doubling kernel and dlog_of against the generator's powers by
-    # repeated multiplication, for random moduli and generator overrides
+    # the doubling kernel, dlog_of, mul_idx and pow_idx against schoolbook
+    # products and the generator's powers by repeated multiplication, for
+    # random moduli and generator overrides
     p, n = data.draw(st.sampled_from(SMALL_FIELDS))
     modulus = None
     if n > 1 and data.draw(st.booleans()):
@@ -243,6 +267,14 @@ def test_power_table_matches_repeated_multiplication(data):
         pows.tolist()
     xs = data.draw(st.lists(st.integers(1, f.q - 1), max_size=40))
     assert [f.dlog_of(x) for x in xs] == [int(dlog[x]) for x in xs]
+    elems = st.integers(0, f.q - 1)
+    for a, b, e in data.draw(st.lists(st.tuples(
+            elems, elems, st.integers(-2 * f.q, 2 * f.q)), max_size=20)):
+        assert f.mul_idx(a, b) == field_product(f, a, b)
+        if a:
+            assert f.pow_idx(a, e) == pows[dlog[a] * e % (f.q - 1)]
+        elif e >= 0:
+            assert f.pow_idx(a, e) == (0 if e else 1)
 
 
 def test_dlog_of_matches_power_table():

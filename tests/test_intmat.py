@@ -232,6 +232,46 @@ def test_real_roots_converts_each_tolerance_once():
     assert first == sorted(direct)
 
 
+def _sign_evaluations_per_root(monkeypatch, coeffs):
+    # {root: the _value_at calls _bisect_root made to find it}
+    from cyclomat import intmat
+
+    calls, inside, counts = [0], [False], {}
+    value_at, bisect_root = intmat._value_at, intmat._bisect_root
+
+    def counted(*args):
+        calls[0] += inside[0]
+        return value_at(*args)
+
+    def bisect(*args):
+        inside[0], calls[0] = True, 0
+        try:
+            root = bisect_root(*args)
+            counts[root] = calls[0]
+            return root
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(intmat, "_value_at", counted)
+    monkeypatch.setattr(intmat, "_bisect_root", bisect)
+    IntPoly(coeffs).real_roots()
+    return counts
+
+
+def test_grid_guess_stays_in_its_bracket(monkeypatch):
+    # Newton from the middle of the root 0.249992's interval (0, 135.813]
+    # converges to the neighbouring root 135.967 just past it; bisecting
+    # the float bracket instead of leaving it keeps the guess on 0.249992,
+    # which a grid search from no guess took 50 sign evaluations to find.
+    # The root -135.967 on (-569639933, 0] took 33: its float offset from
+    # the far end lost about 2^16 cells of 1e-12, which an exact map keeps
+    counts = _sign_evaluations_per_root(
+        monkeypatch, (-113916894, 455686063, -12325, -24649, 1))
+    root = min(counts, key=lambda r: abs(r - 0.25))
+    assert abs(root - 0.249992) < 1e-6 and counts[root] < 15
+    assert len(counts) == 4 and max(counts.values()) < 15
+
+
 @pytest.mark.parametrize("coeffs", [
     (-8036102364, 32144564725, -103513, -207025, 1),
     (-102743564, 410991813, -11705, -23409, 1),
@@ -243,23 +283,5 @@ def test_grid_guess_converges_on_wide_intervals(monkeypatch, coeffs):
     # where twelve Newton steps from its midpoint stop far from the root and
     # the grid search gallops over most of the 2^76 cells (161-186 sign
     # evaluations in all); Newton run to within a cell leaves under 100
-    from cyclomat import intmat
-
-    calls, inside = [0], [False]
-    value_at, bisect_root = intmat._value_at, intmat._bisect_root
-
-    def counted(*args):
-        calls[0] += inside[0]
-        return value_at(*args)
-
-    def bisect(*args):
-        inside[0] = True
-        try:
-            return bisect_root(*args)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(intmat, "_value_at", counted)
-    monkeypatch.setattr(intmat, "_bisect_root", bisect)
-    roots = IntPoly(coeffs).real_roots()
-    assert len(roots) == 4 and calls[0] < 100
+    counts = _sign_evaluations_per_root(monkeypatch, coeffs)
+    assert len(counts) == 4 and sum(counts.values()) < 100

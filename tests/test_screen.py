@@ -21,7 +21,7 @@ from cyclomat.schur import verify_structure_constants
 
 from conftest import field_of, odd_prime_power
 from group_ring import difference_counts_literal
-from oracles import power_table
+from oracles import field_product, power_table
 
 # (p, n) with q <= 2000, prime and extension fields
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (37, 1), (73, 1), (101, 1),
@@ -112,10 +112,10 @@ def _power_digits_rebuilt(field, h, m, block=None):
     digits[:, :s] = np.eye(n, 1, dtype=np.int64) if block is None else block
     while s < m:
         e = min(s, m - s)
-        mat = np.array([field.decode(field.mul_idx(h, p ** i))
+        mat = np.array([field.decode(field_product(field, h, p ** i))
                         for i in range(n)], dtype=np.int64).T
         digits[:, s:s + e] = mat @ digits[:, :e] % p
-        s, h = s + e, field.mul_idx(h, h)
+        s, h = s + e, field_product(field, h, h)
     return digits
 
 
@@ -128,7 +128,7 @@ def test_power_digits_of_any_element(data):
     m = data.draw(st.integers(1, 2 * field.q))
     ref = [1]
     for _ in range(m - 1):
-        ref.append(field.mul_idx(ref[-1], h))
+        ref.append(field_product(field, ref[-1], h))
     digits = power_digits(field, h, m)
     assert digits.shape == (n, m)
     assert field.encode_array(digits).tolist() == ref

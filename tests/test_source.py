@@ -22,14 +22,17 @@ def test_no_bare_assert_in_the_package():
     assert found == []
 
 
-# Names of the production kernels that build powers, classes and shifts; an
-# oracle that reached one of them would check a route against itself.
+# Names of the production kernels that multiply and build powers, classes
+# and shifts; an oracle that reached one of them would check a route against
+# itself.
 PRODUCTION_KERNELS = {"power_digits", "subgroup_digits", "encode_array",
-                      "shifted", "classes"}
+                      "shifted", "classes", "mul_idx", "pow_idx",
+                      "mul_matrix"}
 
 
 def test_oracles_share_no_production_kernel():
-    routes = [oracles.power_table.__wrapped__, oracles.coset_indices,
+    routes = [oracles.field_product, oracles.power_table.__wrapped__,
+              oracles.coset_indices,
               oracles.table_by_set_enumeration,
               oracles.cyclotomic_number_by_pair_count,
               group_ring.difference_counts_literal,
