@@ -1,8 +1,8 @@
 """Building cyclotomic matrices.
 
 Walks through the basic objects: a finite field with its deterministic
-generator and discrete-log table, the table of cyclotomic numbers for a
-divisor ell of q-1, and the derived matrices A, M, B, S.
+generator, the table of cyclotomic numbers for a divisor ell of q-1, and
+the derived matrices A, M, B, S.
 """
 
 from cyclomat import CycloCtx, build_field, build_matrices

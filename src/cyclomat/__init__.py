@@ -26,6 +26,7 @@ from .errors import (
     NoModulusAvailable,
     NotADifferenceSet,
     NotAGenerator,
+    OutOfDomain,
     RangeTooLarge,
     ReducibleModulus,
     ZeroElement,

@@ -38,6 +38,11 @@ class ZeroElement(CyclomatError):
     """Discrete logarithm of the zero element requested."""
 
 
+class OutOfDomain(CyclomatError):
+    """A numeric argument lies outside its function's domain (m < 1 to
+    factorize, a root tolerance that is not finite and positive)."""
+
+
 class DimensionMismatch(CyclomatError):
     """Matrix operands are not conformable."""
 

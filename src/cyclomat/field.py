@@ -37,6 +37,7 @@ from .errors import (
     InvalidDegree,
     NoModulusAvailable,
     NotAGenerator,
+    OutOfDomain,
     ReducibleModulus,
     ZeroElement,
 )
@@ -131,6 +132,8 @@ def factorize(m):
 
     Trial division up to 10**6, then Brent-Pollard rho on what remains.
     """
+    if m < 1:
+        raise OutOfDomain("factorize needs m >= 1, not %d" % m)
     factors = {}
     for sp in (2, 3, 5):
         while m % sp == 0:

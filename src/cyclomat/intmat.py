@@ -1,10 +1,16 @@
 """Exact dense linear algebra over the integers.
 
 All arithmetic runs on plain Python ints, so results are exact at any
-magnitude; the fraction-free algorithms (Bareiss elimination, the
-Faddeev-LeVerrier characteristic polynomial) rely on that.  Matrices in this
-package are small dense squares (orders up to a few dozen), so the simple
-cubic/quartic algorithms are the right tool.
+magnitude.  Matrices in this package are small dense squares (orders up to
+a few dozen), so the simple cubic/quartic algorithms are the right tool:
+Faddeev-LeVerrier for the characteristic polynomial, and for det and rank
+one fraction-free echelon, ``_echelon``.  It is Bareiss elimination (E. H.
+Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968) that skips a column with no pivot and
+keeps the previous pivot (G. C. Nakos, P. R. Turner and R. M. Williams,
+"Fraction-free algorithms for linear and polynomial equations", SIGSAM
+Bull. 31(3), 1997); every entry stays a minor of the input, so each
+division is exact.
 
 Floating point appears in exactly one place: IntPoly.real_roots isolates
 the roots of an exact polynomial with Sturm chains and bisects them on ints
@@ -21,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from operator import mul
 
-from .errors import DimensionMismatch, InternalError
+from .errors import DimensionMismatch, InternalError, OutOfDomain
 
 
 class IntMatrix:
@@ -168,55 +174,15 @@ class IntMatrix:
     # ------------------------------------------------------------------
 
     def det(self):
-        """Exact determinant by Bareiss fraction-free elimination."""
-        d = self.dim
-        if d == 0:
-            return 1
-        a = [row[:] for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(d - 1):
-            if a[k][k] == 0:
-                for r in range(k + 1, d):
-                    if a[r][k] != 0:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            piv = a[k][k]
-            for i in range(k + 1, d):
-                aik = a[i][k]
-                rowi = a[i]
-                rowk = a[k]
-                for j in range(k + 1, d):
-                    # exact division: Bareiss invariant keeps this integral
-                    rowi[j] = (rowi[j] * piv - aik * rowk[j]) // prev
-                rowi[k] = 0
-            prev = piv
-        return sign * a[d - 1][d - 1]
+        """Exact determinant: 0 below full rank, else the last pivot of the
+        shared echelon (Bareiss; Nakos et al.) times its row-swap sign."""
+        rank, sign, pivot = _echelon(self.rows)
+        return sign * pivot if rank == self.dim else 0
 
     def rank(self):
-        """Rank over the rationals, via integer row echelon (no division)."""
-        d = self.dim
-        a = [row[:] for row in self.rows]
-        rank = 0
-        row = 0
-        for col in range(d):
-            piv = next((r for r in range(row, d) if a[r][col] != 0), None)
-            if piv is None:
-                continue
-            a[row], a[piv] = a[piv], a[row]
-            pv = a[row][col]
-            for r in range(row + 1, d):
-                f = a[r][col]
-                if f:
-                    a[r] = [a[r][c] * pv - f * a[row][c] for c in range(d)]
-            rank += 1
-            row += 1
-            if row == d:
-                break
-        return rank
+        """Rank over the rationals: the pivot count of the shared echelon
+        (Bareiss; Nakos et al.)."""
+        return _echelon(self.rows)[0]
 
     def charpoly(self):
         """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
@@ -238,16 +204,41 @@ class IntMatrix:
         return IntPoly(coeffs)
 
 
+def _echelon(rows):
+    """(rank, sign of the row swaps, last pivot or 1 at rank 0) of a square
+    matrix.  Each step scales the rows below the pivot row by the pivot,
+    clears the pivot column and divides exactly by the previous pivot; a
+    column with no pivot left is skipped and the previous pivot kept."""
+    a = [row[:] for row in rows]
+    d = len(a)
+    rank, sign, prev = 0, 1, 1
+    for c in range(d):
+        for i in range(rank, d):
+            if a[i][c]:
+                break
+        else:
+            continue
+        if i != rank:
+            a[rank], a[i] = a[i], a[rank]
+            sign = -sign
+        top = a[rank]
+        pivot = top[c]
+        for row in a[rank + 1:]:
+            f = row[c]
+            for j in range(c + 1, d):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+        rank += 1
+    return rank, sign, prev
+
+
 class IntPoly:
     """Integer polynomial, coefficients stored low-to-high and trimmed."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [int(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(_trim([int(c) for c in coeffs]))
 
     @classmethod
     def x(cls):
@@ -282,15 +273,10 @@ class IntPoly:
         return "IntPoly(%s)" % " ".join(terms)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntPoly([x + y for x, y in zip(a, b)])
+        return self - (-self._coerce(other))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
+        return IntPoly(_sub(self.coeffs, self._coerce(other).coeffs))
 
     def __neg__(self):
         return IntPoly([-c for c in self.coeffs])
@@ -326,13 +312,10 @@ class IntPoly:
         return NotImplemented
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _value_at(self.coeffs, x, 1)
 
     def derivative(self):
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return IntPoly(_derivative(self.coeffs))
 
     def at_matrix(self, m):
         """Evaluate at a square IntMatrix by Horner; x^0 maps to the identity."""
@@ -400,8 +383,12 @@ class IntPoly:
 
 @lru_cache(maxsize=64)
 def _tolerance_ratio(tol):
-    tol = Fraction(tol).limit_denominator(10 ** 18)
-    return tol.numerator, tol.denominator
+    if not 0 < tol < math.inf:
+        raise OutOfDomain("tol must be finite and positive, not %r" % (tol,))
+    ratio = Fraction(tol).limit_denominator(10 ** 18)
+    if not ratio:
+        raise OutOfDomain("tol %r rounds to 0 over 10**18" % (tol,))
+    return ratio.numerator, ratio.denominator
 
 
 def _trim(c):

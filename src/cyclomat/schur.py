@@ -338,8 +338,7 @@ def _randrange_stream(rng, ell, count):
     return np.concatenate(got)[:count].astype(np.int64)
 
 
-def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
-                                  seed=0, samples=DEFAULT_SAMPLE_COUNT):
+def verify_inner_product_identity(ctx, seed=0):
     """The four-index identity tying together products of pairs of
     cyclotomic numbers:
 
@@ -347,18 +346,17 @@ def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
           = k(delta(i,j) delta(u,v) - delta(i,u) delta(j,v))
             + sum_w (w-v, u-v)(w-j, i-j).
 
-    Exhaustive over all ell^4 quadruples for ell <= 12 by default; sampled
-    with a seeded generator beyond that.  Each sum over w is the dot product
-    of two column windows of [A; A], as in the module docstring.
+    Exhaustive over all ell^4 quadruples for ell <= 12
+    (EXHAUSTIVE_QUADRUPLE_LIMIT); beyond that, DEFAULT_SAMPLE_COUNT
+    quadruples drawn by a generator seeded with seed.  Each sum over w is
+    the dot product of two column windows of [A; A], as in the module
+    docstring.
     """
     ell, k = ctx.ell, ctx.k
-    if exhaustive is None:
-        exhaustive = ell <= EXHAUSTIVE_QUADRUPLE_LIMIT
-    if quadruples is not None:
-        mode, quads = "explicit", list(quadruples)
-    elif exhaustive:
+    if ell <= EXHAUSTIVE_QUADRUPLE_LIMIT:
         mode, quads = "exhaustive", None        # row-major, made per chunk
     else:
+        samples = DEFAULT_SAMPLE_COUNT
         mode, quads = "sampled", _randrange_stream(
             random.Random(seed), ell, 4 * samples).reshape(samples, 4)
     t = np.array(ctx.table, dtype=_law_dtype(ctx))
@@ -379,7 +377,7 @@ def verify_inner_product_identity(ctx, quadruples=None, exhaustive=None,
         if quads is None:
             cols = np.unravel_index(np.arange(start, stop), (ell,) * 4)
         else:
-            cols = np.array(quads[start:stop], dtype=np.int64).reshape(-1, 4).T
+            cols = quads[start:stop].T
         i, j, u, v = (c % ell for c in cols)
         lhs = dot(u, i, v, j)
         rhs = k * (((i == j) & (u == v)).astype(np.int64)

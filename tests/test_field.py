@@ -13,6 +13,7 @@ from cyclomat import (
     EvenP,
     InvalidDegree,
     NotAGenerator,
+    OutOfDomain,
     ReducibleModulus,
     ZeroElement,
     build_field,
@@ -77,6 +78,10 @@ def test_factorize():
     assert factorize(1) == []
     big = (2 ** 31 - 1) * (2 ** 19 - 1)
     assert factorize(big) == [(2 ** 19 - 1, 1), (2 ** 31 - 1, 1)]
+    # below the domain: 0 used to divide by 2 forever, -5 to give [(5, 1)]
+    for m in (0, -5):
+        with pytest.raises(OutOfDomain):
+            factorize(m)
 
 
 def test_build_field_rejects_bad_p():

@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from cyclomat import DimensionMismatch, IntMatrix, IntPoly
+from cyclomat import DimensionMismatch, IntMatrix, IntPoly, OutOfDomain
 from cyclomat.intmat import _squarefree_real_roots, _tolerance_ratio
 
 from oracles import perm_shift
@@ -230,6 +230,17 @@ def test_real_roots_converts_each_tolerance_once():
     direct = [(r, m) for fac, m in p.squarefree_decomposition()
               for r in _squarefree_real_roots(fac, f.numerator, f.denominator)]
     assert first == sorted(direct)
+
+
+def test_real_roots_rejects_tolerance_outside_its_domain():
+    p = IntPoly([-2, 0, 1])
+    # 1e-19 and 0 rounded to 0 (ZeroDivisionError), -1e-3 gave roots, nan
+    # and inf raised ValueError and OverflowError
+    for tol in (0, 0.0, 1e-19, 4e-19, -1e-3, -math.inf, math.nan, math.inf):
+        with pytest.raises(OutOfDomain):
+            p.real_roots(tol)
+    (lo, _), (hi, _) = p.real_roots(1e-18)
+    assert abs(hi - math.sqrt(2)) < 1e-15 and lo == -hi
 
 
 def _sign_evaluations_per_root(monkeypatch, coeffs):

@@ -250,3 +250,64 @@ def test_det_rank_charpoly_match_sympy(rows):
     assert m.rank() == ref.rank()
     want = [int(v) for v in reversed(ref.charpoly(X).all_coeffs())]
     assert list(m.charpoly().coeffs) == want
+
+
+def _sympy_det_rank(rows):
+    # sympy's domain matrices over ZZ: sympy.Matrix's det and rank do not
+    # finish in 100 s at 40 x 40
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    d = len(rows)
+    ref = DomainMatrix([[ZZ(v) for v in row] for row in rows], (d, d), ZZ)
+    return ref.det(), ref.rank()
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    # d rows, each an integer combination of r < d basis rows in echelon
+    # form whose pivot columns are drawn with gaps: a column between two
+    # pivots is zero below the pivot rows once the earlier columns are
+    # cleared, so the elimination must skip it and keep the previous pivot
+    d = draw(st.integers(2, 10))
+    r = draw(st.integers(0, d - 1))
+    pivots = sorted(draw(st.lists(st.integers(0, d - 1), min_size=r,
+                                  max_size=r, unique=True)))
+    basis = [[0] * c + [draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))]
+             + draw(st.lists(st.integers(-4, 4), min_size=d - c - 1,
+                             max_size=d - c - 1))
+             for c in pivots]
+    weights = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r,
+                                     max_size=r), min_size=d, max_size=d))
+    return [[sum(w * b[j] for w, b in zip(ws, basis)) for j in range(d)]
+            for ws in weights]
+
+
+@settings(max_examples=150, deadline=None)
+@example(rows=[[0, 1, 2], [0, 2, 4], [0, 3, 7]])
+@example(rows=[[1, 2, 0, 1], [2, 4, 0, 3], [3, 6, 0, 4], [1, 2, 0, 2]])
+@given(rows=rank_deficient_matrices())
+def test_det_rank_of_rank_deficient_matrices_match_sympy(rows):
+    m = IntMatrix(rows)
+    det, rank = _sympy_det_rank(rows)
+    assert m.det() == det == 0
+    assert m.rank() == rank < m.dim
+
+
+def _random_rows(rng, d, e):
+    return [[rng.randint(-9, 9) for _ in range(e)] for _ in range(d)]
+
+
+def test_det_rank_at_order_40_match_sympy():
+    import random
+
+    rng = random.Random(40)
+    full = _random_rows(rng, 40, 40)
+    left, right = _random_rows(rng, 40, 25), _random_rows(rng, 25, 40)
+    low = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+           for row in left]
+    for rows, want in ((full, 40), (low, 25)):
+        m = IntMatrix(rows)
+        det, rank = _sympy_det_rank(rows)
+        assert rank == want
+        assert (m.det(), m.rank()) == (det, rank)

@@ -20,6 +20,7 @@ from cyclomat import (
     verify_traces,
     verify_transposed_product_law,
 )
+from cyclomat import schur
 
 import reference_data as ref
 from group_ring import GroupRingElem, class_convolution_counts, class_sum
@@ -210,10 +211,11 @@ def test_inner_product_identity_exhaustive(cyclo):
     assert res.checks[0].params["quadruples"] == 6 ** 4
 
 
-def test_inner_product_identity_sampled(cyclo):
+def test_inner_product_identity_sampled(cyclo, monkeypatch):
     ctx = cyclo(131, 1, 10)
-    res = verify_inner_product_identity(ctx, exhaustive=False, seed=42,
-                                        samples=500)
+    monkeypatch.setattr(schur, "EXHAUSTIVE_QUADRUPLE_LIMIT", 9)
+    monkeypatch.setattr(schur, "DEFAULT_SAMPLE_COUNT", 500)
+    res = verify_inner_product_identity(ctx, seed=42)
     assert res.passed
     assert res.checks[0].params == {"mode": "sampled", "quadruples": 500,
                                     "seed": 42}

@@ -258,7 +258,6 @@ def test_verifiers_match_reference_loops(fields, monkeypatch, spec, bump):
     ]
     shifts_bad, products_bad = ref_trace_checks(ctx)
     near_normal_bad = ref_near_normality(ctx)
-    quads = [(1, 2, 3, 4), (-1, 0, ctx.ell + 2, 5), (0, 1, 1, 0)]
     columns = ref_column_products(ctx)
     natural = schur._law_dtype(ctx)
     if bump is not None:
@@ -277,18 +276,14 @@ def test_verifiers_match_reference_loops(fields, monkeypatch, spec, bump):
         traces = verify_traces(ctx).checks
         _assert_check(traces[0], "trace_of_shifts", shifts_bad)
         _assert_check(traces[1], "trace_of_products", products_bad)
-        for res, expected in (
-                (verify_inner_product_identity(ctx),
-                 ref_inner_product(ctx, [(i, j, u, v)
-                                         for i in range(ctx.ell)
-                                         for j in range(ctx.ell)
-                                         for u in range(ctx.ell)
-                                         for v in range(ctx.ell)])),
-                (verify_inner_product_identity(ctx, quadruples=quads),
-                 ref_inner_product(ctx, quads))):
-            count, want = expected
-            _assert_check(res.checks[0], "inner_product_identity", want)
-            assert res.checks[0].params["quadruples"] == count
+        res = verify_inner_product_identity(ctx)
+        count, want = ref_inner_product(ctx, [(i, j, u, v)
+                                              for i in range(ctx.ell)
+                                              for j in range(ctx.ell)
+                                              for u in range(ctx.ell)
+                                              for v in range(ctx.ell)])
+        _assert_check(res.checks[0], "inner_product_identity", want)
+        assert res.checks[0].params["quadruples"] == count
         cols = {c.name: c for c in verify_column_products(ctx).checks}
         for name, want in columns.items():
             if name == "half_shift_square_sum":
@@ -331,11 +326,12 @@ def test_sampled_inner_product_matches_reference(fields, monkeypatch):
     quads = [tuple(rng.randrange(10) for _ in range(4)) for _ in range(300)]
     count, want = ref_inner_product(ctx, quads)
     assert want is not None
+    monkeypatch.setattr(schur, "EXHAUSTIVE_QUADRUPLE_LIMIT", 9)
+    monkeypatch.setattr(schur, "DEFAULT_SAMPLE_COUNT", 300)
     for dtype in DTYPES:
         if dtype is not None:
             monkeypatch.setattr(schur, "_law_dtype", lambda c, d=dtype: d)
-        res = verify_inner_product_identity(ctx, exhaustive=False, seed=5,
-                                            samples=300)
+        res = verify_inner_product_identity(ctx, seed=5)
         _assert_check(res.checks[0], "inner_product_identity", want)
         assert res.checks[0].params == {"mode": "sampled",
                                         "quadruples": count, "seed": 5}
@@ -409,9 +405,8 @@ def test_fft_kernel_matches_group_ring_product(fields, pn, data):
 @settings(max_examples=40, deadline=None)
 @given(pn=st.sampled_from(_SMALL_FIELDS), data=st.data())
 def test_inner_product_windows_match_reference(fields, pn, data):
-    # every mode against the pair-by-pair loop, on a table with one entry
-    # bumped (or none), in both array dtypes; explicit quadruples may lie
-    # outside [0, ell) and are reported as given
+    # both modes against the pair-by-pair loop, on a table with one entry
+    # bumped (or none), in both array dtypes
     import random
 
     field = fields(*pn)
@@ -426,21 +421,18 @@ def test_inner_product_windows_match_reference(fields, pn, data):
     rng = random.Random(seed)
     sampled = [tuple(rng.randrange(ell) for _ in range(4))
                for _ in range(samples)]
-    explicit = data.draw(st.lists(st.tuples(*[st.integers(-3 * ell, 3 * ell)]
-                                            * 4), min_size=1, max_size=40))
     full = [(i, j, u, v) for i in range(ell) for j in range(ell)
             for u in range(ell) for v in range(ell)]
-    runs = [({"exhaustive": True}, "exhaustive", full),
-            ({"exhaustive": False, "seed": seed, "samples": samples},
-             "sampled", sampled),
-            ({"quadruples": explicit}, "explicit", explicit)]
+    runs = [(ell, "exhaustive", full), (ell - 1, "sampled", sampled)]
     for dtype in DTYPES:
         with pytest.MonkeyPatch.context() as mp:
             if dtype is not None:
                 mp.setattr(schur, "_law_dtype", lambda c, d=dtype: d)
-            for kw, mode, quads in runs:
+            mp.setattr(schur, "DEFAULT_SAMPLE_COUNT", samples)
+            for limit, mode, quads in runs:
+                mp.setattr(schur, "EXHAUSTIVE_QUADRUPLE_LIMIT", limit)
                 count, want = ref_inner_product(ctx, quads)
-                check = verify_inner_product_identity(ctx, **kw).checks[0]
+                check = verify_inner_product_identity(ctx, seed=seed).checks[0]
                 _assert_check(check, "inner_product_identity", want)
                 assert check.params["mode"] == mode
                 assert check.params["quadruples"] == count
@@ -561,13 +553,14 @@ def test_small_array_budget_keeps_ledgers(fields, monkeypatch, spec, bump):
     # the first failing quadruple of a corrupted table lies past the first
     ctx = _corrupted(fields, spec, bump)
     runs = []
+    monkeypatch.setattr(schur, "DEFAULT_SAMPLE_COUNT", 700)
     for budget in (schur.ARRAY_BUDGET_BYTES, 2000):
         monkeypatch.setattr(schur, "ARRAY_BUDGET_BYTES", budget)
-        runs.append([dumps(res.to_obj()) for res in (
-            verify_structure_constants(ctx),
-            verify_inner_product_identity(ctx),
-            verify_inner_product_identity(ctx, exhaustive=False, seed=2,
-                                          samples=700))])
+        run = [verify_structure_constants(ctx)]
+        for limit in (ctx.ell, ctx.ell - 1):    # exhaustive, then sampled
+            monkeypatch.setattr(schur, "EXHAUSTIVE_QUADRUPLE_LIMIT", limit)
+            run.append(verify_inner_product_identity(ctx, seed=2))
+        runs.append([dumps(res.to_obj()) for res in run])
     assert runs[0] == runs[1]
 
 
