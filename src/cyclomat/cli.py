@@ -160,11 +160,7 @@ def _cmd_verify(args, out):
 
 def _cmd_diffset(args, out):
     ctx = _make_ctx(args)
-    if args.modified:
-        report = modified_diffset(ctx)
-        out.write(dumps(report.to_obj()) + "\n")
-        return EXIT_OK if report.certificates.passed else EXIT_VERIFICATION
-    report = build_report(ctx)
+    report = (modified_diffset if args.modified else build_report)(ctx)
     out.write(dumps(report.to_obj()) + "\n")
     return EXIT_OK if report.certificates_pass else EXIT_VERIFICATION
 

@@ -24,6 +24,7 @@ odd k.  It encodes -K = g^(q') K.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ class CycloCtx:
     def __init__(self, field, ell):
         if not isinstance(field, FieldCtx):
             raise TypeError("field must be a FieldCtx")
-        ell = int(ell)
+        ell = operator.index(ell)
         if ell < 1 or (field.q - 1) % ell != 0:
             raise InvalidEll("ell=%d does not divide q-1=%d" % (ell, field.q - 1))
         field.require_table_budget("the %d x %d cyclotomic table" % (ell, ell),

@@ -20,15 +20,17 @@ The detectors are independent routes to the same verdict; a disagreement is
 a build bug.  On a hit, the certificate operations verify every exact
 consequence: the Gram closed forms, annihilating polynomials and spectra of
 the symmetrized matrices, determinant formulas, residue classifications of
-lambda, and the square/simplex embedding constraint.  K_0 = K ∪ {0} gets the
-same treatment with its own criterion.
+lambda, and the square/simplex embedding constraint.  K_0 = K ∪ {0}, of size
+k0 = k + 1, has its own criterion and is certified by K's Gram closed forms
+with A + I in place of A and n = k0 - lambda0 in place of k - lambda.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,6 +188,21 @@ def _hit_inputs(ctx, hit):
 # itself and raises NotADifferenceSet off one.
 # ----------------------------------------------------------------------
 
+def _add_gram_laws(res, names, x, y, k, lam, n):
+    """Record under ``names`` the two Gram laws of a hit:
+    X^T X = lam k J + n I - k E_{0,0} and Y^T Y = lam (k - lam) J + n I.
+    K takes (A, B, lambda, k - lambda); K_0 takes A + I, its (q', 0)-minor,
+    lambda0 and k0 - lambda0."""
+    for name, m, off, corner in ((names[0], x, lam * k, k),
+                                 (names[1], y, lam * (k - lam), 0)):
+        d = m.dim
+        want = off * IntMatrix.ones(d) + n * IntMatrix.identity(d) \
+            - corner * IntMatrix.elementary(d, 0, 0)
+        got = m.transpose() * m
+        res.add(name, got == want,
+                detail=None if got == want else {"residual": got - want})
+
+
 def verify_gram_identities(ctx, hit=None):
     """Exact Gram closed forms on a hit:
     A^T A = lambda k J + (k - lambda) I - k E_{0,0},
@@ -194,19 +211,8 @@ def verify_gram_identities(ctx, hit=None):
     lam, dm = _hit_inputs(ctx, hit)
     ell, k = ctx.ell, ctx.k
     res = VerifySuiteResult()
-
-    want = (lam * k) * IntMatrix.ones(ell) + (k - lam) * IntMatrix.identity(ell) \
-        - k * IntMatrix.elementary(ell, 0, 0)
-    got = dm.A.transpose() * dm.A
-    res.add("gram_closed_form", got == want,
-            detail=None if got == want else {"residual": got - want})
-
-    want_b = (k - lam) * (lam * IntMatrix.ones(ell - 1)
-                          + IntMatrix.identity(ell - 1))
-    got_b = dm.B.transpose() * dm.B
-    res.add("minor_gram_closed_form", got_b == want_b,
-            detail=None if got_b == want_b else {"residual": got_b - want_b})
-
+    _add_gram_laws(res, ("gram_closed_form", "minor_gram_closed_form"),
+                   dm.A, dm.B, k, lam, k - lam)
     dev = sum((ctx.table[0][j] - lam) ** 2 for j in range(1, ell))
     res.add("first_row_deviation_sum", dev == k - 2 * lam,
             detail={"computed": dev, "expected": k - 2 * lam})
@@ -405,25 +411,12 @@ def check_schoenberg_condition(ctx, hit=None):
 # ----------------------------------------------------------------------
 
 @dataclass
-class DiffSetReport:
-    """Verdicts of all four detectors plus the certificate ledger."""
+class _Report:
+    """The detectors' verdicts and the certificate ledger, for K or K_0; a
+    subclass adds its own fields and gives their JSON keys by _own_obj."""
 
-    q: int
-    p: int
-    n: int
-    ell: int
-    k: int
-    qprime: int
-    generator: int
-    lam: int | None
     verdicts: dict
-    certificates: VerifySuiteResult = dc_field(default_factory=VerifySuiteResult)
-    determinants: dict | None = None
-    spectra: dict | None = None
-    congruences_pass: bool | None = None
-    schoenberg_pass: bool | None = None
-    q_is_prime: bool = False
-    k_is_square: bool = False
+    certificates: VerifySuiteResult
 
     @property
     def is_difference_set(self):
@@ -435,14 +428,36 @@ class DiffSetReport:
 
     def to_obj(self):
         """The report with exact values; dumps/jsonable make the JSON."""
+        return dict(self._own_obj(), verdicts=dict(self.verdicts),
+                    is_difference_set=self.is_difference_set,
+                    certificates=self.certificates.to_obj(),
+                    certificates_pass=self.certificates_pass)
+
+
+@dataclass
+class DiffSetReport(_Report):
+    """Verdicts of all four detectors plus the certificate ledger."""
+
+    q: int
+    p: int
+    n: int
+    ell: int
+    k: int
+    qprime: int
+    generator: int
+    lam: int | None
+    determinants: dict | None
+    spectra: dict | None
+    congruences_pass: bool | None
+    schoenberg_pass: bool | None
+    q_is_prime: bool
+    k_is_square: bool
+
+    def _own_obj(self):
         obj = {
             "q": self.q, "p": self.p, "n": self.n, "ell": self.ell,
             "k": self.k, "qprime": self.qprime, "generator": self.generator,
             "lambda": self.lam,
-            "verdicts": dict(self.verdicts),
-            "is_difference_set": self.is_difference_set,
-            "certificates": self.certificates.to_obj(),
-            "certificates_pass": self.certificates_pass,
             "congruences_pass": self.congruences_pass,
             "schoenberg_pass": self.schoenberg_pass,
             "q_is_prime": self.q_is_prime,
@@ -456,30 +471,17 @@ class DiffSetReport:
 
 
 @dataclass
-class ModifiedDiffSetReport:
+class ModifiedDiffSetReport(_Report):
     """Verdicts and certificates for K_0 = K ∪ {0}."""
 
     q: int
     ell: int
     k0: int
     lam0: int | None
-    verdicts: dict
-    certificates: VerifySuiteResult = dc_field(default_factory=VerifySuiteResult)
 
-    @property
-    def is_difference_set(self):
-        return all(self.verdicts.values())
-
-    def to_obj(self):
-        """The report with exact values; dumps/jsonable make the JSON."""
-        return {
-            "q": self.q, "ell": self.ell, "k0": self.k0,
-            "lambda0": self.lam0,
-            "verdicts": dict(self.verdicts),
-            "is_difference_set": self.is_difference_set,
-            "certificates": self.certificates.to_obj(),
-            "certificates_pass": self.certificates.passed,
-        }
+    def _own_obj(self):
+        return {"q": self.q, "ell": self.ell, "k0": self.k0,
+                "lambda0": self.lam0}
 
 
 def modified_diffset(ctx):
@@ -504,21 +506,10 @@ def modified_diffset(ctx):
         lam0 = crit_counts[0]
         if lam0 * ell != k0 or k0 % 2 != 0 or ell % 2 != 0:
             raise InternalError("modified difference-set consequences failed")
-        a = IntMatrix(ctx.table)
-        ident = IntMatrix.identity(ell)
-        api = a + ident
-        want = (lam0 * (k0 - 1)) * IntMatrix.ones(ell) \
-            + (k0 - lam0) * ident - (k0 - 1) * IntMatrix.elementary(ell, 0, 0)
-        got = (a.transpose() + ident) * api
-        certs.add("modified_gram_closed_form", got == want,
-                  detail=None if got == want else {"residual": got - want})
-        b0 = api.minor(qp, 0)
-        want_b = (lam0 * (k0 - lam0 - 1)) * IntMatrix.ones(ell - 1) \
-            + (k0 - lam0) * IntMatrix.identity(ell - 1)
-        got_b = b0.transpose() * b0
-        certs.add("modified_minor_gram", got_b == want_b,
-                  detail=None if got_b == want_b else
-                  {"residual": got_b - want_b})
+        api = IntMatrix(t) + IntMatrix.identity(ell)
+        _add_gram_laws(certs, ("modified_gram_closed_form",
+                               "modified_minor_gram"),
+                       api, api.minor(qp, 0), k, lam0, k0 - lam0)
     return ModifiedDiffSetReport(
         q=ctx.q, ell=ell, k0=k0, lam0=lam0,
         verdicts={"bruteforce": bf, "lehmer_modified": crit},
@@ -672,6 +663,7 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
     table and the full report (all four detectors and the certificate
     battery, recording whether q is prime and whether k is a perfect
     square)."""
+    ell, max_q, min_q = map(operator.index, (ell, max_q, min_q))
     if ell < 2:
         raise EllOne("search needs ell >= 2")
     if max_q > SEARCH_MAX_Q:

@@ -19,12 +19,15 @@ powers of g is kept: ``dlog_of`` works in the subgroups of prime order.
 The generator is the element of smallest canonical index with full
 multiplicative order, so every table derived from a field is reproducible;
 a caller may override it, in which case the override is order-verified.
-For extension fields the modulus comes from a small table of Conway
-polynomials, falling back to the lexicographically least monic irreducible.
+A supplied modulus is checked on every degree (on a prime field every monic
+linear one is irreducible).  Without one a prime field takes x, and an
+extension field a Conway polynomial from a small table, falling back to the
+lexicographically least monic irreducible.
 """
 
 from __future__ import annotations
 
+import operator
 from math import isqrt
 
 import numpy as np
@@ -236,8 +239,8 @@ class FieldCtx:
                  "factors_qm1", "_x_powers")
 
     def __init__(self, p, n=1, modulus=None, generator=None):
-        p = int(p)
-        n = int(n)
+        p = operator.index(p)
+        n = operator.index(n)
         if p % 2 == 0:
             raise EvenP("p must be an odd prime, got %d" % p)
         if not is_prime(p):
@@ -266,8 +269,6 @@ class FieldCtx:
 
     def _resolve_modulus(self, modulus):
         p, n = self.p, self.n
-        if n == 1:
-            return (0, 1)  # placeholder; unused for prime fields
         if modulus is not None:
             coeffs = tuple(int(c) % p for c in modulus)
             if len(coeffs) != n + 1 or coeffs[-1] != 1:
@@ -277,13 +278,15 @@ class FieldCtx:
                 raise ReducibleModulus(
                     "modulus %s is reducible over F_%d" % (list(coeffs), p))
             return coeffs
+        if n == 1:
+            return (0, 1)  # x, and F_p[x]/(x) is F_p
         if (p, n) in CONWAY_POLYNOMIALS:
             return CONWAY_POLYNOMIALS[(p, n)]
         return find_irreducible(p, n)
 
     def _resolve_generator(self, generator):
         if generator is not None:
-            idx = int(generator) % self.q
+            idx = operator.index(generator) % self.q
             if idx == 0 or not self._has_full_order(idx):
                 raise NotAGenerator("index %d does not generate F_%d^*" %
                                     (idx, self.q))

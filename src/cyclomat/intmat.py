@@ -273,16 +273,21 @@ class IntPoly:
         return "IntPoly(%s)" % " ".join(terms)
 
     def __add__(self, other):
-        return self - (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self - (-other)
 
     def __sub__(self, other):
-        return IntPoly(_sub(self.coeffs, self._coerce(other).coeffs))
+        other = self._coerce(other)
+        return other if other is NotImplemented else \
+            IntPoly(_sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return IntPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if not self.coeffs or not other.coeffs:
             return IntPoly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

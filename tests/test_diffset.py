@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -270,6 +271,16 @@ def test_schoenberg(cyclo):
     by31 = {c.name: c for c in res31.checks}
     assert not by31["geometric_lambda_clause"].skipped  # 7 = 1 + 2 + 4
     assert res31.passed
+
+
+def test_search_refuses_non_integral_arguments():
+    for args, kwargs in (((2.5, 50), {}), ((4.0, 100), {}), ((2, 50.0), {}),
+                         ((2, 50), {"min_q": 3.0})):
+        with pytest.raises(TypeError):
+            iter_search(*args, **kwargs)    # at the call, not when iterated
+        with pytest.raises(TypeError):
+            search(*args, **kwargs)
+    assert [r.q for r in search(np.int64(2), np.int64(20))] == [7, 11, 19]
 
 
 def test_modified_diffset(cyclo):

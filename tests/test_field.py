@@ -210,6 +210,31 @@ def test_supplied_modulus_validation():
     assert f.q == 343
 
 
+def test_prime_field_checks_a_supplied_modulus():
+    # n = 1 takes x when no modulus is given; a supplied one must be monic
+    # of degree 1, and every such polynomial is irreducible
+    for bad in ([1, 1, 1], [5], [3, 2]):
+        with pytest.raises(ReducibleModulus):
+            build_field(7, modulus=bad)
+    assert build_field(7).modulus == (0, 1)
+    f = build_field(7, modulus=[3, 1])
+    assert f.modulus == (3, 1)
+    assert [f.mul_idx(a, 5) for a in range(7)] == [5 * a % 7 for a in range(7)]
+    assert f.generator_index == build_field(7).generator_index
+
+
+def test_non_integral_arguments_raise():
+    for call in (lambda: build_field(7.5), lambda: build_field(7, n=1.5),
+                 lambda: build_field(7, generator=3.9),
+                 lambda: CycloCtx(build_field(7), 2.5)):
+        with pytest.raises(TypeError):
+            call()
+    # numpy integers are integers
+    f = build_field(np.int64(7), n=np.int32(1), generator=np.int64(3))
+    assert (f.q, f.generator_index) == (7, 3)
+    assert CycloCtx(f, np.int64(2)).ell == 2
+
+
 def test_modulus_search_and_disable():
     f = build_field(3, 5)  # not in the built-in table
     assert is_irreducible(list(f.modulus), 3)

@@ -147,6 +147,17 @@ def test_poly_arithmetic():
     assert IntPoly([5]).at_matrix(m) == 5 * IntMatrix.identity(2)
 
 
+def test_poly_operators_refuse_other_types():
+    p = IntPoly([1, 2])
+    for other in (1.5, "x"):
+        for op in (lambda: p + other, lambda: other + p, lambda: p - other,
+                   lambda: other - p, lambda: p * other, lambda: other * p):
+            with pytest.raises(TypeError):
+                op()
+    assert p * 3 == 3 * p == IntPoly([3, 6])
+    assert p + 1 == IntPoly([2, 2]) and p - 1 == IntPoly([0, 2])
+
+
 def test_squarefree_decomposition():
     x = IntPoly.x()
     p = (x - 1) ** 2 * (x + 2)

@@ -297,6 +297,14 @@ def test_cli_usage_errors():
     assert code == 1 and "InvalidJobs" in err and out == ""
 
 
+def test_cli_prime_field_checks_a_supplied_modulus():
+    field = ("compute", "--p", "7", "--n", "1", "--ell", "2")
+    for bad in ("1,1,1", "5", "3,2"):
+        code, out, err = run_cli(*field, "--modulus", bad)
+        assert code == 1 and out == "" and "ReducibleModulus" in err
+    assert run_cli(*field, "--modulus", "3,1") == run_cli(*field)
+
+
 def test_cli_survey_range_bound(monkeypatch):
     import cyclomat.cli
     from cyclomat.diffset import SEARCH_MAX_Q
