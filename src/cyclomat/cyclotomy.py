@@ -67,9 +67,10 @@ def _build_table(classes, p, ell):
 class CycloCtx:
     """A field together with ell, k = (q-1)/ell, q', classes and the table.
 
-    Immutable after construction; the elementary row/column/symmetry laws
-    are asserted as part of the build, so a live CycloCtx is always
-    internally consistent.
+    The build checks the elementary row/column/symmetry laws and raises
+    InternalError if one fails.  ``classes`` is read-only, but ``table`` is
+    a plain list of lists that every verifier re-reads: a table edited
+    after construction is not checked again here, and the ledgers report it.
     """
 
     __slots__ = ("field", "ell", "k", "qprime", "classes", "table")
@@ -147,35 +148,23 @@ def verify_elementary_laws(ctx):
     """
     ell, k, qp = ctx.ell, ctx.k, ctx.qprime
     t = ctx.table
+    r = range(ell)
     res = VerifySuiteResult()
-
-    bad = next(((i, j) for i in range(ell) for j in range(ell)
-                if t[i][j] != t[(j + qp) % ell][(i + qp) % ell]), None)
-    res.add("transpose_shift_symmetry", bad is None,
-            detail=None if bad is None else {"i": bad[0], "j": bad[1]})
-
-    bad = next(((i, j) for i in range(ell) for j in range(ell)
-                if t[i][j] != t[(-i) % ell][(j - i) % ell]), None)
-    res.add("inversion_symmetry", bad is None,
-            detail=None if bad is None else {"i": bad[0], "j": bad[1]})
-
-    bad = next((i for i in range(ell)
-                if sum(t[i]) != (k - 1 if i == qp else k)), None)
-    res.add("row_sums", bad is None,
-            detail=None if bad is None else {"i": bad, "sum": sum(t[bad])})
-
-    bad = next((j for j in range(ell)
-                if sum(t[i][j] for i in range(ell)) != (k - 1 if j == 0 else k)),
-               None)
-    res.add("column_sums", bad is None,
-            detail=None if bad is None else {"j": bad})
-
+    res.first("transpose_shift_symmetry", "ij", (
+        (i, j) for i in r for j in r
+        if t[i][j] != t[(j + qp) % ell][(i + qp) % ell]))
+    res.first("inversion_symmetry", "ij", (
+        (i, j) for i in r for j in r
+        if t[i][j] != t[(-i) % ell][(j - i) % ell]))
+    res.first("row_sums", ("i", "sum"), (
+        (i, s) for i, s in enumerate(map(sum, t))
+        if s != (k - 1 if i == qp else k)))
+    res.first("column_sums", "j", (
+        (j,) for j, s in enumerate(map(sum, zip(*t)))
+        if s != (k - 1 if j == 0 else k)))
     if k % 2 == 0:
-        bad = next(((i, j) for i in range(ell) for j in range(ell)
-                    if t[i][j] != t[j][i]), None)
-        res.add("even_k_transpose_symmetry", bad is None,
-                detail=None if bad is None else {"i": bad[0], "j": bad[1]})
+        res.first("even_k_transpose_symmetry", "ij", (
+            (i, j) for i in r for j in r if t[i][j] != t[j][i]))
     else:
-        res.add("even_k_transpose_symmetry", True, skipped=True,
-                detail={"note": "k odd"})
+        res.skip("even_k_transpose_symmetry", "k odd")
     return res

@@ -38,6 +38,7 @@ from .cyclotomy import CycloCtx, build_matrices
 from .errors import (
     EllOne,
     InternalError,
+    InvalidEll,
     InvalidJobs,
     NotADifferenceSet,
     RangeTooLarge,
@@ -213,9 +214,9 @@ def verify_gram_identities(ctx, hit=None):
     res = VerifySuiteResult()
     _add_gram_laws(res, ("gram_closed_form", "minor_gram_closed_form"),
                    dm.A, dm.B, k, lam, k - lam)
-    dev = sum((ctx.table[0][j] - lam) ** 2 for j in range(1, ell))
-    res.add("first_row_deviation_sum", dev == k - 2 * lam,
-            detail={"computed": dev, "expected": k - 2 * lam})
+    res.compare("first_row_deviation_sum",
+                sum((ctx.table[0][j] - lam) ** 2 for j in range(1, ell)),
+                k - 2 * lam)
     return res
 
 
@@ -247,10 +248,8 @@ def verify_spectral(ctx, hit=None):
             detail={"polynomial": ann_m})
     res.add("minor_annihilator", ann_s.at_matrix(dm.S).is_zero(),
             detail={"polynomial": ann_s})
-    res.add("symmetrized_trace", dm.M.trace() == k,
-            detail={"computed": dm.M.trace(), "expected": k})
-    res.add("minor_trace", dm.S.trace() == n,
-            detail={"computed": dm.S.trace(), "expected": n})
+    res.compare("symmetrized_trace", dm.M.trace(), k)
+    res.compare("minor_trace", dm.S.trace(), n)
     rank = (dm.S * dm.S - n * IntMatrix.identity(ell - 1)).rank()
     res.add("rank_one_residual", rank == 1, detail={"rank": rank})
 
@@ -308,8 +307,7 @@ def verify_congruences(ctx, hit=None):
                 params={"ell_mod_8": ell % 8, "q_mod_8": q % 8,
                         "k_mod_8": k % 8})
     else:
-        res.add("odd_lambda_residues", True, skipped=True,
-                detail={"note": "lambda even"})
+        res.skip("odd_lambda_residues", "lambda even")
 
     if ell % 4 == 2:
         res.add("lambda_parity", lam % 2 == ((k - 1) // 2) % 2,
@@ -326,22 +324,18 @@ def verify_congruences(ctx, hit=None):
                     and odd_even_col,
                     params={"q_mod_8": q % 8, "k_mod_4": k % 4})
     else:
-        res.add("lambda_parity", True, skipped=True,
-                detail={"note": "ell not 2 mod 4"})
+        res.skip("lambda_parity", "ell not 2 mod 4")
 
     if lam % 2 == 1 and ell % 8 == 0:
         res.add("odd_lambda_mod_four", lam % 4 == 1, params={"lambda": lam})
     else:
-        res.add("odd_lambda_mod_four", True, skipped=True,
-                detail={"note": "needs odd lambda and 8 | ell"})
+        res.skip("odd_lambda_mod_four", "needs odd lambda and 8 | ell")
 
     if lam == 1:
-        bad = next((j for j in range(1, ell) if t[0][j] not in (0, 2)), None)
-        res.add("unit_lambda_row_values", bad is None,
-                detail=None if bad is None else {"j": bad, "value": t[0][bad]})
+        res.first("unit_lambda_row_values", ("j", "value"), (
+            (j, v) for j, v in enumerate(t[0]) if j and v not in (0, 2)))
     else:
-        res.add("unit_lambda_row_values", True, skipped=True,
-                detail={"note": "lambda != 1"})
+        res.skip("unit_lambda_row_values", "lambda != 1")
     return res
 
 
@@ -383,8 +377,8 @@ def check_schoenberg_condition(ctx, hit=None):
                         "two_odd_squares": list(two_squares) if two_squares
                         else None})
     else:
-        res.add("schoenberg_square_case", True, skipped=True,
-                detail={"note": "q - k = %d is not a perfect square" % m})
+        res.skip("schoenberg_square_case",
+                 "q - k = %d is not a perfect square" % m)
 
     e = _geometric_exponent(lam, ell)
     if e is not None and e % 2 == 0:
@@ -394,15 +388,14 @@ def check_schoenberg_condition(ctx, hit=None):
                 detail={"two_odd_squares": list(two_squares) if two_squares
                         else None})
     else:
-        res.add("geometric_lambda_clause", True, skipped=True,
-                detail={"note": "lambda is not an even-length geometric sum"})
+        res.skip("geometric_lambda_clause",
+                 "lambda is not an even-length geometric sum")
 
     if lam == 1:
         ok = ell % 8 == 0 or two_squares is not None
         res.add("unit_lambda_embedding", ok)
     else:
-        res.add("unit_lambda_embedding", True, skipped=True,
-                detail={"note": "lambda != 1"})
+        res.skip("unit_lambda_embedding", "lambda != 1")
     return res
 
 
@@ -643,6 +636,7 @@ def passes_mann(q, p, ell):
 def worker_count(jobs):
     """Worker processes for a search with ``jobs`` requested: at least one
     is required, and more than the CPU count is clamped to it."""
+    jobs = operator.index(jobs)
     if jobs < 1:
         raise InvalidJobs("jobs must be >= 1, got %d" % jobs)
     return min(jobs, os.cpu_count() or 1)
@@ -664,7 +658,9 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
     battery, recording whether q is prime and whether k is a perfect
     square)."""
     ell, max_q, min_q = map(operator.index, (ell, max_q, min_q))
-    if ell < 2:
+    if ell < 1:
+        raise InvalidEll("ell must be >= 1, got %d" % ell)
+    if ell == 1:
         raise EllOne("search needs ell >= 2")
     if max_q > SEARCH_MAX_Q:
         raise RangeTooLarge("search bounded at q <= %d" % SEARCH_MAX_Q)

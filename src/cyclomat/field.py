@@ -286,10 +286,11 @@ class FieldCtx:
 
     def _resolve_generator(self, generator):
         if generator is not None:
-            idx = operator.index(generator) % self.q
+            given = operator.index(generator)
+            idx = given % self.q
             if idx == 0 or not self._has_full_order(idx):
-                raise NotAGenerator("index %d does not generate F_%d^*" %
-                                    (idx, self.q))
+                raise NotAGenerator("generator %d (index %d) does not "
+                                    "generate F_%d^*" % (given, idx, self.q))
             return idx
         # for n > 1, indices below p form the prime subfield, whose elements
         # have order dividing p - 1 < q - 1

@@ -1,5 +1,11 @@
 """Verification ledgers and deterministic serialization.
 
+A VerifySuiteResult is the ordered ledger of a verifier's checks, and this
+module owns the shape of its entries: add records a verdict and detail as
+given, and skip, compare and first build the three shapes that recur (a
+clause that does not apply, a value against its closed form, and the first
+failing cell of a law checked cell by cell).
+
 All emitted output is byte-stable for a fixed configuration: JSON keys are
 sorted, there are no timestamps unless a caller injects one, and integers
 wider than 2**53 are rendered as decimal strings so consumers that read JSON
@@ -51,6 +57,25 @@ class VerifySuiteResult:
 
     def add(self, name, ok, params=None, detail=None, skipped=False):
         self.checks.append(Check(name, ok, params, detail, skipped))
+
+    def skip(self, name, note):
+        """A clause that does not apply: passes, skipped, {"note": note}."""
+        self.add(name, True, detail={"note": note}, skipped=True)
+
+    def compare(self, name, computed, expected):
+        """A value against its closed form: passes when they are equal, and
+        the detail shows both either way."""
+        self.add(name, computed == expected,
+                 detail={"computed": computed, "expected": expected})
+
+    def first(self, name, keys, cells):
+        """A law checked cell by cell: ``cells`` yields the failing cells
+        in order (a generator over a table scan, or np.argwhere(mask)), and
+        the first one's values, as ints keyed by ``keys``, are the
+        counterexample; the check passes when there is none."""
+        cell = next(iter(cells), None)
+        self.add(name, cell is None, detail=None if cell is None
+                 else dict(zip(keys, map(int, cell))))
 
     def merge(self, other):
         self.checks.extend(other.checks)

@@ -286,9 +286,8 @@ def verify_traces(ctx):
     s = _law_tensors(ctx)
     res = VerifySuiteResult()
 
-    bad = np.flatnonzero(np.trace(s, axis1=1, axis2=2) != k - 1)
-    res.add("trace_of_shifts", bad.size == 0,
-            detail={"w": int(bad[0])} if bad.size else None)
+    res.first("trace_of_shifts", "w",
+              np.argwhere(np.trace(s, axis1=1, axis2=2) != k - 1))
 
     want = np.full(ell, k * (k - 1), dtype=s.dtype)
     want[qp] += q - 2 * k
@@ -297,26 +296,19 @@ def verify_traces(ctx):
              lambda lhs, rhs, v: {"expected": int(rhs)})
 
     a = s[0]
-    tr2 = int((a * a.T).sum())
-    want2 = k * (k - 1) + (q - 2 * k if k % 2 == 0 else 0)
-    res.add("trace_of_square", tr2 == want2,
-            detail={"computed": tr2, "expected": want2})
-
-    tr3 = _trace_of_product(a @ a, a)
-    want3 = ctx.num(0, qp) * (q - 3 * k) + k * k * (k - 1)
-    res.add("trace_of_cube", tr3 == want3,
-            detail={"computed": tr3, "expected": want3})
+    res.compare("trace_of_square", int((a * a.T).sum()),
+                k * (k - 1) + (q - 2 * k if k % 2 == 0 else 0))
+    res.compare("trace_of_cube", _trace_of_product(a @ a, a),
+                ctx.num(0, qp) * (q - 3 * k) + k * k * (k - 1))
     return res
 
 
 def verify_sum_of_squares(ctx):
     """sum over the whole table of (i,j)^2 equals q + k(k-3), equivalently
     tr(A^T A)."""
-    total = sum(v * v for row in ctx.table for v in row)
-    want = ctx.q + ctx.k * (ctx.k - 3)
     res = VerifySuiteResult()
-    res.add("sum_of_squares", total == want,
-            detail={"computed": total, "expected": want})
+    res.compare("sum_of_squares", sum(v * v for row in ctx.table for v in row),
+                ctx.q + ctx.k * (ctx.k - 3))
     return res
 
 
@@ -415,30 +407,21 @@ def verify_column_products(ctx):
         np.concatenate((t[:, 0], t[:, 0])), ell)[:ell]
     first = np.matmul(circ, t)[r[None], (r[:, None] - r[None]) % ell]
 
-    def first_pair(mask):
-        hit = np.argwhere(mask)
-        return {"i": int(hit[0, 0]), "j": int(hit[0, 1])} if len(hit) else None
-
     res = VerifySuiteResult()
-    bad = np.flatnonzero(np.diagonal(gram - first)[1:] != k)
-    res.add("column_square_sums", bad.size == 0,
-            detail={"i": int(bad[0]) + 1} if bad.size else None)
-    fail = first_pair((gram != first) & (r[:, None] != r[None]))
-    res.add("distinct_column_products", fail is None, detail=fail)
+    res.first("column_square_sums", "i",
+              np.argwhere(np.diagonal(gram - first)[1:] != k) + 1)
+    res.first("distinct_column_products", "ij",
+              np.argwhere((gram != first) & (r[:, None] != r[None])))
 
     if k % 2 == 1:
-        computed, expected = int(gram[qp, qp]), k + int(gram[0, 0])
-        res.add("half_shift_square_sum", computed == expected,
-                detail={"computed": computed, "expected": expected})
+        res.compare("half_shift_square_sum", int(gram[qp, qp]),
+                    k + int(gram[0, 0]))
         mask = gram != gram[np.ix_((r + qp) % ell, (r + qp) % ell)]
         mask[0, 0] = mask[qp, qp] = False
-        fail = first_pair(mask)
-        res.add("half_shift_pair_products", fail is None, detail=fail)
+        res.first("half_shift_pair_products", "ij", np.argwhere(mask))
     else:
-        res.add("half_shift_square_sum", True, skipped=True,
-                detail={"note": "k even"})
-        res.add("half_shift_pair_products", True, skipped=True,
-                detail={"note": "k even"})
+        res.skip("half_shift_square_sum", "k even")
+        res.skip("half_shift_pair_products", "k even")
     return res
 
 
@@ -475,9 +458,8 @@ def run_identity_suite(ctx, seed=0, suite="all"):
         if suite == "schur" or _convolution_refusal(ctx) is None:
             res.merge(verify_structure_constants(ctx))
         else:
-            res.add("structure_constants", True, skipped=True,
-                    detail={"note": "group-ring convolution skipped at q=%d"
-                            % ctx.q})
+            res.skip("structure_constants",
+                     "group-ring convolution skipped at q=%d" % ctx.q)
         res.merge(verify_regular_representation(ctx))
     if suite != "schur":
         res.merge(verify_matrix_product_law(ctx))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cyclomat import (
     CycloCtx,
     EllOne,
+    InvalidEll,
     InvalidJobs,
     IntMatrix,
     IntPoly,
@@ -458,6 +459,9 @@ def test_iter_search_checks_arguments_when_called():
         iter_search(2, SEARCH_MAX_Q + 1)
     with pytest.raises(InvalidJobs):
         iter_search(2, 50, jobs=0)
+    for ell in (0, -2):        # ell = 1 is the degenerate case, EllOne
+        with pytest.raises(InvalidEll):
+            iter_search(ell, 50)
 
 
 def test_prefilter_rejects_only_non_hits():
@@ -528,6 +532,14 @@ def test_worker_count_clamps_without_spawning(monkeypatch):
             worker_count(jobs)
     with pytest.raises(InvalidJobs):
         search(2, 50, jobs=0)
+    # a non-integral count raises at the call, before any pool exists
+    with pytest.raises(TypeError):
+        worker_count(1.5)
+    with pytest.raises(TypeError):
+        iter_search(2, 50, jobs=1.5)
+    assert worker_count(np.int64(2)) == 1
+    assert [r.q for r in iter_search(2, 50, jobs=np.int64(1))] == [
+        r.q for r in iter_search(2, 50)]
 
 
 def test_large_quadratic_residue_parameters():

@@ -113,6 +113,34 @@ def test_to_obj_is_exact_and_dumps_encodes():
         "residual": [[str(2 ** 53), "-1"], ["0", "7"]], "big": str(2 ** 53)}
 
 
+def test_ledger_entry_shapes():
+    res = VerifySuiteResult()
+    res.skip("clause", "k odd")
+    res.compare("equal", 3, 3)
+    res.compare("unequal", 2 ** 53, 5)
+    res.first("clean", "ij", iter(()))
+    res.first("scan", ("j", "value"), ((j, 3 * j) for j in range(2, 5)))
+    res.first("array", "ij", np.argwhere(np.array([[0, 0], [0, 1]]) != 0))
+    res.first("array_clean", "w", np.argwhere(np.zeros(3) != 0))
+    assert not res.passed
+    assert [c.name for c in res.failures()] == ["unequal", "scan", "array"]
+    assert json.loads(dumps(res.to_obj())) == [
+        {"check": "clause", "params": {}, "pass": True, "skipped": True,
+         "detail": {"note": "k odd"}},
+        {"check": "equal", "params": {}, "pass": True,
+         "detail": {"computed": 3, "expected": 3}},
+        {"check": "unequal", "params": {}, "pass": False,
+         "counterexample": {"computed": str(2 ** 53), "expected": 5}},
+        {"check": "clean", "params": {}, "pass": True},
+        {"check": "scan", "params": {}, "pass": False,
+         "counterexample": {"j": 2, "value": 6}},
+        {"check": "array", "params": {}, "pass": False,
+         "counterexample": {"i": 1, "j": 1}},
+        {"check": "array_clean", "params": {}, "pass": True}]
+    # the counterexample values are Python ints, not numpy scalars
+    assert type(res.checks[5].detail["i"]) is int
+
+
 def test_dumps_sorted_keys():
     assert dumps({"b": 1, "a": 2}, compact=True) == '{"a":2,"b":1}'
 
@@ -295,6 +323,24 @@ def test_cli_usage_errors():
     code, out, err = run_cli("search", "--ell", "2", "--max-q", "60",
                              "--jobs", "0")
     assert code == 1 and "InvalidJobs" in err and out == ""
+
+
+def test_cli_search_names_a_nonpositive_ell_invalid():
+    for ell, kind in (("0", "InvalidEll"), ("-2", "InvalidEll"),
+                      ("1", "EllOne")):
+        code, out, err = run_cli("search", "--ell", ell, "--max-q", "50")
+        assert (code, out) == (1, "")
+        assert err.startswith("cyclo: error: %s: " % kind)
+
+
+def test_cli_generator_error_names_the_supplied_value():
+    code, out, err = run_cli("compute", "--p", "7", "--generator", "14",
+                             "--ell", "2")
+    assert (code, out) == (1, "")
+    assert "NotAGenerator" in err and "14" in err
+    code, out, _ = run_cli("compute", "--p", "7", "--generator", "-4",
+                           "--ell", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["meta"]["generator"] == 3
 
 
 def test_cli_prime_field_checks_a_supplied_modulus():

@@ -44,3 +44,28 @@ def test_oracles_share_no_production_kernel():
         named |= {node.attr for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)}
         assert not named & PRODUCTION_KERNELS, func.__qualname__
+
+
+def _hand_built_entries(node):
+    """Why node builds a ledger entry shape that report.py owns, or None:
+    a skip (a call passing skipped=True) or a computed-against-expected
+    detail (a dict display with both keys)."""
+    if isinstance(node, ast.Call) and any(
+            kw.arg == "skipped" and isinstance(kw.value, ast.Constant)
+            and kw.value.value is True for kw in node.keywords):
+        return "skipped=True"
+    if isinstance(node, ast.Dict):
+        keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+        if {"computed", "expected"} <= keys:
+            return "computed/expected"
+    return None
+
+
+def test_ledger_entry_shapes_live_in_report():
+    # skips and computed/expected details go through VerifySuiteResult.skip
+    # and .compare, so the entry format is written in one module
+    found = [(path.name, node.lineno, why) for path in SOURCES
+             if path.name != "report.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for why in [_hand_built_entries(node)] if why]
+    assert found == []
