@@ -120,11 +120,7 @@ def _make_ctx(args):
 
 
 def _meta(ctx, **extra):
-    meta = {"q": ctx.q, "p": ctx.field.p, "n": ctx.field.n, "ell": ctx.ell,
-            "k": ctx.k, "qprime": ctx.qprime,
-            "generator": ctx.field.generator_index, "version": __version__}
-    meta.update(extra)
-    return meta
+    return dict(ctx.meta(), version=__version__, **extra)
 
 
 def _cmd_compute(args, out):

@@ -105,6 +105,13 @@ class CycloCtx:
     def q(self):
         return self.field.q
 
+    def meta(self):
+        """q, p, n, ell, k, qprime and generator: the context's keys, written
+        only here, for the commands' meta blocks and DiffSetReport."""
+        return {"q": self.q, "p": self.field.p, "n": self.field.n,
+                "ell": self.ell, "k": self.k, "qprime": self.qprime,
+                "generator": self.field.generator_index}
+
     def __repr__(self):
         return "CycloCtx(q=%d, ell=%d, k=%d, qprime=%d)" % (
             self.q, self.ell, self.k, self.qprime)

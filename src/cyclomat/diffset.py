@@ -4,9 +4,10 @@ K, the subgroup of ell-th powers, is a difference set when every nonzero
 field element has the same number of representations as a difference of two
 members.  Four detectors decide this:
 
-  bruteforce -- count representations directly in the field: K's
+  bruteforce -- count representations in the field by lehmer_screen: K's
                 membership array ANDed with its additive shift by one coset
-                representative per class (counts are class-constant);
+                representative per class, none unless ell | k - 1 and none
+                past the first class off lambda;
   lehmer     -- the first column of the cyclotomic matrix is constant;
   sumsq      -- k odd and some column square-sum with index coprime to ell
                 matches the half-shift column's;
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,13 +85,14 @@ def _difference_counts_by_class(field, ell, with_zero=False, lam=None):
 
 
 def lehmer_screen(field, ell):
-    """Lehmer's verdict on K alone, for ell >= 2 dividing q - 1: the counts
-    of K when they are constant and k > 1 (a hit), else None.
+    """The in-field count route of search and is_diffset_bruteforce, for
+    ell >= 2 dividing q - 1: the class counts of K when they are constant
+    and k > 1 (a hit), else None.
 
-    The ell counts sum to k - 1, so constant counts all equal
-    lambda = (k - 1) / ell: nothing is counted unless ell | k - 1, and
-    counting stops at the first class off lambda.  Exact integer counts from
-    the one count route; no power, dlog or cyclotomic table is built."""
+    Lehmer's necessary conditions, k > 1 and ell | k - 1, are its prefilter:
+    the ell counts sum to k - 1, so constant counts all equal
+    lambda = (k - 1) / ell.  Counting stops at the first class off lambda;
+    no power, dlog or cyclotomic table is built."""
     k = (field.q - 1) // ell
     if k == 1 or (k - 1) % ell:
         return None
@@ -98,38 +100,37 @@ def lehmer_screen(field, ell):
     return counts if len(counts) == ell else None
 
 
-def is_diffset_bruteforce(ctx, counts=None):
-    """(verdict, lambda) from differences counted in the field itself, K's
-    membership array ANDed with its shift by one representative per class
-    (the count is class-invariant).  ``counts`` passes the class counts
-    lehmer_screen already took for this field and ell."""
-    _require_ell(ctx)
-    ell, k = ctx.ell, ctx.k
-    if k == 1:
-        return False, None
-    if counts is None:
-        counts = _difference_counts_by_class(ctx.field, ell)
+def _hit_lambda(ctx, counts):
+    """lambda when the class counts of K are one value and k > 1, else
+    None.  A hit has lambda ell = k - 1, k odd and ell even; a hit without
+    them is a build bug."""
     values = set(counts)
-    if len(values) != 1:
-        return False, None
+    if ctx.k == 1 or len(values) != 1:
+        return None
     lam = values.pop()
-    if lam * ell != k - 1 or k % 2 == 0 or ell % 2 == 1:
+    if lam * ctx.ell != ctx.k - 1 or ctx.k % 2 == 0 or ctx.ell % 2 == 1:
         raise InternalError("difference-set consequences failed; build bug")
-    return True, lam
+    return lam
+
+
+def is_diffset_bruteforce(ctx, counts=None):
+    """(verdict, lambda) from the class counts of K taken in the field by
+    lehmer_screen, which counts none unless ell | k - 1 and stops at the
+    first class off lambda.  ``counts`` passes the class counts already
+    taken for this field and ell; counts that are not constant give
+    (False, None)."""
+    _require_ell(ctx)
+    if counts is None:
+        counts = lehmer_screen(ctx.field, ctx.ell) or ()
+    lam = _hit_lambda(ctx, counts)
+    return lam is not None, lam
 
 
 def is_diffset_lehmer(ctx):
     """Lehmer's criterion: the first column of A is constant (and k > 1)."""
     _require_ell(ctx)
-    if ctx.k == 1:
-        return False
     col0 = [ctx.table[i][0] for i in range(ctx.ell)]
-    if len(set(col0)) != 1:
-        return False
-    k, ell = ctx.k, ctx.ell
-    if k % 2 == 0 or ell % 2 == 1 or col0[0] * ell != k - 1:
-        raise InternalError("difference-set consequences failed; build bug")
-    return True
+    return _hit_lambda(ctx, col0) is not None
 
 
 def _column_square_sums(ctx):
@@ -403,10 +404,18 @@ def check_schoenberg_condition(ctx, hit=None):
 # reports
 # ----------------------------------------------------------------------
 
+_KEYS = {"lam": "lambda", "lam0": "lambda0"}     # lambda is a keyword
+_OMITTED_WHILE_NONE = {"determinants", "spectra"}
+
+
 @dataclass
 class _Report:
-    """The detectors' verdicts and the certificate ledger, for K or K_0; a
-    subclass adds its own fields and gives their JSON keys by _own_obj."""
+    """The detectors' verdicts and the certificate ledger, for K or K_0.
+
+    A subclass declares its other keys as fields: each field is the key of
+    its own name, except lam and lam0, written "lambda" and "lambda0".
+    determinants and spectra are left out while None; any other None field
+    is null."""
 
     verdicts: dict
     certificates: VerifySuiteResult
@@ -421,7 +430,11 @@ class _Report:
 
     def to_obj(self):
         """The report with exact values; dumps/jsonable make the JSON."""
-        return dict(self._own_obj(), verdicts=dict(self.verdicts),
+        own = ((f.name, getattr(self, f.name))
+               for f in fields(self)[2:])       # past verdicts, certificates
+        return dict({_KEYS.get(name, name): v for name, v in own
+                     if v is not None or name not in _OMITTED_WHILE_NONE},
+                    verdicts=dict(self.verdicts),
                     is_difference_set=self.is_difference_set,
                     certificates=self.certificates.to_obj(),
                     certificates_pass=self.certificates_pass)
@@ -446,22 +459,6 @@ class DiffSetReport(_Report):
     q_is_prime: bool
     k_is_square: bool
 
-    def _own_obj(self):
-        obj = {
-            "q": self.q, "p": self.p, "n": self.n, "ell": self.ell,
-            "k": self.k, "qprime": self.qprime, "generator": self.generator,
-            "lambda": self.lam,
-            "congruences_pass": self.congruences_pass,
-            "schoenberg_pass": self.schoenberg_pass,
-            "q_is_prime": self.q_is_prime,
-            "k_is_square": self.k_is_square,
-        }
-        if self.determinants is not None:
-            obj["determinants"] = self.determinants
-        if self.spectra is not None:
-            obj["spectra"] = self.spectra
-        return obj
-
 
 @dataclass
 class ModifiedDiffSetReport(_Report):
@@ -471,10 +468,6 @@ class ModifiedDiffSetReport(_Report):
     ell: int
     k0: int
     lam0: int | None
-
-    def _own_obj(self):
-        return {"q": self.q, "ell": self.ell, "k0": self.k0,
-                "lambda0": self.lam0}
 
 
 def modified_diffset(ctx):
@@ -525,24 +518,18 @@ def build_report(ctx, counts=None):
                             % (ctx.q, ctx.ell, verdicts))
     lam = (ctx.k - 1) // ctx.ell if (ctx.k - 1) % ctx.ell == 0 else None
     certs = VerifySuiteResult()
-    determinants = None
-    spectra = None
-    congruences_pass = None
-    schoenberg_pass = None
+    determinants = spectra = congruences_pass = schoenberg_pass = None
     if bf:
         if lam != lam_bf:
             raise InternalError("lambda mismatch between routes")
         # the detectors confirmed the hit: build its inputs once for all five
         hit = (lam, build_matrices(ctx))
-        certs.merge(verify_gram_identities(ctx, hit))
-        spec = verify_spectral(ctx, hit)
-        certs.merge(spec)
-        dets = verify_determinants(ctx, hit)
-        certs.merge(dets)
-        congruences = verify_congruences(ctx, hit)
-        certs.merge(congruences)
-        schoenberg = check_schoenberg_condition(ctx, hit)
-        certs.merge(schoenberg)
+        ledgers = [cert(ctx, hit) for cert in (
+            verify_gram_identities, verify_spectral, verify_determinants,
+            verify_congruences, check_schoenberg_condition)]
+        for ledger in ledgers:
+            certs.merge(ledger)
+        _, spec, dets, congruences, schoenberg = ledgers
         congruences_pass = congruences.passed
         schoenberg_pass = schoenberg.passed
         determinants = {c.name: c.detail for c in dets.checks}
@@ -550,9 +537,7 @@ def build_report(ctx, counts=None):
                    if c.detail and "roots" in c.detail}
     kroot = math.isqrt(ctx.k)
     return DiffSetReport(
-        q=ctx.q, p=ctx.field.p, n=ctx.field.n, ell=ctx.ell, k=ctx.k,
-        qprime=ctx.qprime, generator=ctx.field.generator_index,
-        lam=lam, verdicts=verdicts, certificates=certs,
+        **ctx.meta(), lam=lam, verdicts=verdicts, certificates=certs,
         determinants=determinants, spectra=spectra,
         congruences_pass=congruences_pass, schoenberg_pass=schoenberg_pass,
         q_is_prime=ctx.field.n == 1, k_is_square=kroot * kroot == ctx.k)

@@ -402,20 +402,21 @@ class FieldCtx:
         return self.encode((self.mul_matrix(a) @ b % p).tolist())
 
     def pow_idx(self, a, e):
-        """a^e; a negative e raises ZeroElement on a == 0, which has no
-        inverse."""
+        """a^e for an integral e (TypeError otherwise); a negative e raises
+        ZeroElement on a == 0, which has no inverse."""
+        e = operator.index(e)
         if e < 0 and a % self.q == 0:
             raise ZeroElement("zero has no inverse")
         if self.n == 1:
             return pow(a, e, self.p)
-        e = int(e) % (self.q - 1) if e < 0 else int(e)
+        e = e % (self.q - 1) if e < 0 else e
         return self.encode(_matpow(self.mul_matrix(a), e, self.p)[:, 0].tolist())
 
     # -- public surface --------------------------------------------------
 
     def dlog_of(self, x):
-        """Exponent e in [0, q - 1) with generator**e == x; raises
-        ZeroElement on x == 0.
+        """Exponent e in [0, q - 1) with generator**e == x, for an integral
+        x (TypeError otherwise); raises ZeroElement on x == 0.
 
         Pohlig-Hellman (IEEE Trans. Inf. Theory 24, 1978) on the factors of
         q - 1: for each r^a, the a base-r digits of e mod r^a each come from
@@ -424,7 +425,7 @@ class FieldCtx:
         array from ``power_digits``, within TABLE_BUDGET_BYTES at
         8 (n + 2) ceil(sqrt r) bytes; the giant steps stop at the first hit.
         """
-        idx = int(x) % self.q
+        idx = operator.index(x) % self.q
         if idx == 0:
             raise ZeroElement("dlog of zero is undefined")
         m, e, mod = self.q - 1, 0, 1

@@ -25,9 +25,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import mul
+from operator import index, mul
 
 from .errors import DimensionMismatch, InternalError, OutOfDomain
+
+
+def _exponent(e):
+    """A power's exponent: integral (TypeError otherwise) and >= 0."""
+    e = index(e)
+    if e < 0:
+        raise OutOfDomain("powers need an exponent >= 0, got %d" % e)
+    return e
 
 
 class IntMatrix:
@@ -70,7 +78,9 @@ class IntMatrix:
 
     @classmethod
     def elementary(cls, d, s, t):
-        """E_{s,t}: all zeros except a single 1 in the (s, t) entry."""
+        """E_{s,t}: all zeros except a single 1 in the (s, t) entry, d >= 1."""
+        if d < 1:
+            raise DimensionMismatch("E_{s,t} needs d >= 1, got %d" % d)
         m = cls.zeros(d)
         m.rows[s % d][t % d] = 1
         return m
@@ -123,10 +133,8 @@ class IntMatrix:
         return NotImplemented
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("matrix powers need a nonnegative integer exponent")
         out = IntMatrix.identity(self.dim)
-        for _ in range(e):
+        for _ in range(_exponent(e)):
             out = out * self
         return out
 
@@ -301,10 +309,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial powers need a nonnegative integer exponent")
         out = IntPoly([1])
-        for _ in range(e):
+        for _ in range(_exponent(e)):
             out = out * self
         return out
 

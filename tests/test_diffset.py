@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cyclomat import (
     CycloCtx,
     EllOne,
+    FieldCtx,
     InvalidEll,
     InvalidJobs,
     IntMatrix,
@@ -579,3 +580,24 @@ def test_build_report_builds_hit_inputs_once(cyclo, monkeypatch):
     assert rep.certificates.to_obj() == [c for led in standalone for c in led]
     build_report(cyclo(131, 1, 10))
     assert calls == {"matrices": 1, "lehmer": 2}
+
+
+def test_bruteforce_counts_through_the_early_exit_screen(monkeypatch):
+    # diffset counts no class when ell does not divide k - 1, stops at the
+    # first class off lambda, and counts every class of a hit
+    calls = []
+    shifted = FieldCtx.shifted
+
+    def counted(self, arr, z):
+        calls.append(z)
+        return shifted(self, arr, z)
+
+    monkeypatch.setattr(FieldCtx, "shifted", counted)
+    for p, want in ((13, 0), (53, 1), (37, 4)):
+        calls.clear()
+        out = io.StringIO()
+        assert main(["diffset", "--p", str(p), "--ell", "4"], out=out,
+                    err=io.StringIO()) == 0
+        assert len(calls) == want, p
+        assert json.loads(out.getvalue())["verdicts"]["bruteforce"] \
+            == (p == 37)

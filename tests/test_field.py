@@ -455,3 +455,17 @@ def test_generator_scan_skips_prime_subfield(monkeypatch):
     tested.clear()
     assert build_field(131).generator_index == 2
     assert tested == [2]
+
+
+def test_dlog_and_powers_refuse_non_integral_arguments(fields):
+    # a float was truncated (dlog_of(2.5) read as dlog_of(2)); numpy ints
+    # still index like ints
+    for f in (fields(7), fields(3, 2)):
+        g = f.generator_index
+        assert f.dlog_of(np.int64(g)) == 1
+        assert f.pow_idx(g, np.int64(2)) == f.mul_idx(g, g)
+        for x in (2.5, 4.9, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                f.dlog_of(x)
+        with pytest.raises(TypeError):
+            f.pow_idx(4, 1.5)

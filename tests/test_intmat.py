@@ -307,3 +307,22 @@ def test_grid_guess_converges_on_wide_intervals(monkeypatch, coeffs):
     # evaluations in all); Newton run to within a cell leaves under 100
     counts = _sign_evaluations_per_root(monkeypatch, coeffs)
     assert len(counts) == 4 and sum(counts.values()) < 100
+
+
+def test_powers_take_integral_exponents_only():
+    a = IntMatrix([[1, 1], [0, 1]])
+    p = IntPoly([1, 1])
+    assert a ** np.int64(2) == a * a == IntMatrix([[1, 2], [0, 1]])
+    assert p ** np.int64(2) == p * p == IntPoly([1, 2, 1])
+    for base in (a, p):
+        with pytest.raises(OutOfDomain):
+            base ** -1
+        with pytest.raises(TypeError):
+            base ** 1.5
+
+
+def test_elementary_needs_a_positive_dimension():
+    assert IntMatrix.elementary(1, 0, 0) == IntMatrix.identity(1)
+    for d in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            IntMatrix.elementary(d, 0, 0)

@@ -69,3 +69,27 @@ def test_ledger_entry_shapes_live_in_report():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              for why in [_hand_built_entries(node)] if why]
     assert found == []
+
+
+def _hand_written_keys(node):
+    """Why node writes report or context keys by hand, or None: a dict
+    display with a "qprime" key, or a class that defines _own_obj."""
+    if isinstance(node, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value == "qprime"
+            for k in node.keys):
+        return "qprime key"
+    if isinstance(node, ast.ClassDef) and any(
+            isinstance(f, ast.FunctionDef) and f.name == "_own_obj"
+            for f in node.body):
+        return node.name + "._own_obj"
+    return None
+
+
+def test_report_and_context_keys_are_declared_once():
+    # a context's keys come from CycloCtx.meta and a report's from its
+    # dataclass fields, so no other module spells them out again
+    found = [(path.name, node.lineno, why) for path in SOURCES
+             if path.name != "cyclotomy.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for why in [_hand_written_keys(node)] if why]
+    assert found == []
