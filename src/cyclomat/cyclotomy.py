@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EllTooSmall, InternalError, InvalidEll
+from .errors import EllTooSmall, InternalError
 from .field import FieldCtx, power_digits
 from .intmat import IntMatrix
 from .report import VerifySuiteResult
@@ -79,13 +79,12 @@ class CycloCtx:
         if not isinstance(field, FieldCtx):
             raise TypeError("field must be a FieldCtx")
         ell = operator.index(ell)
-        if ell < 1 or (field.q - 1) % ell != 0:
-            raise InvalidEll("ell=%d does not divide q-1=%d" % (ell, field.q - 1))
+        k = field.subgroup_order(ell)
         field.require_table_budget("the %d x %d cyclotomic table" % (ell, ell),
                                    TABLE_ENTRY_BYTES * ell * ell)
         self.field = field
         self.ell = ell
-        self.k = (field.q - 1) // ell
+        self.k = k
         self.qprime = ((field.q - 1) // 2) % ell
         expected_qprime = 0 if self.k % 2 == 0 else ell // 2
         if self.qprime != expected_qprime:

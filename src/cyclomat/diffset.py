@@ -24,6 +24,9 @@ the symmetrized matrices, determinant formulas, residue classifications of
 lambda, and the square/simplex embedding constraint.  K_0 = K ∪ {0}, of size
 k0 = k + 1, has its own criterion and is certified by K's Gram closed forms
 with A + I in place of A and n = k0 - lambda0 in place of k - lambda.
+
+Range search takes its candidates q = ell + 1 (mod ell^2) from a segmented
+sieve of that progression; Mann's test drops some before any field is built.
 """
 
 from __future__ import annotations
@@ -44,17 +47,26 @@ from .errors import (
     NotADifferenceSet,
     RangeTooLarge,
 )
-from .field import build_field, factorize, is_prime
+from .field import build_field, factorize
 from .intmat import IntMatrix, IntPoly
 from .report import VerifySuiteResult
 
 SEARCH_MAX_Q = 10 ** 7
 SPECTRUM_TOL = 1e-9
+SIEVE_SEGMENT_CAP = 1 << 14     # terms of the search progression at a time
 
 
 def _require_ell(ctx):
     if ctx.ell < 2:
         raise EllOne("difference-set layer excludes ell = 1")
+
+
+def _positive_ell(ell):
+    """ell as an int (TypeError when it is not integral); InvalidEll below 1."""
+    ell = operator.index(ell)
+    if ell < 1:
+        raise InvalidEll("ell must be >= 1, got %d" % ell)
+    return ell
 
 
 # ----------------------------------------------------------------------
@@ -86,14 +98,14 @@ def _difference_counts_by_class(field, ell, with_zero=False, lam=None):
 
 def lehmer_screen(field, ell):
     """The in-field count route of search and is_diffset_bruteforce, for
-    ell >= 2 dividing q - 1: the class counts of K when they are constant
-    and k > 1 (a hit), else None.
+    ell >= 2 dividing q - 1 (InvalidEll when ell does not): the class
+    counts of K when they are constant and k > 1 (a hit), else None.
 
     Lehmer's necessary conditions, k > 1 and ell | k - 1, are its prefilter:
     the ell counts sum to k - 1, so constant counts all equal
     lambda = (k - 1) / ell.  Counting stops at the first class off lambda;
     no power, dlog or cyclotomic table is built."""
-    k = (field.q - 1) // ell
+    k = field.subgroup_order(ell)
     if k == 1 or (k - 1) % ell:
         return None
     counts = _difference_counts_by_class(field, ell, lam=(k - 1) // ell)
@@ -549,22 +561,54 @@ def build_report(ctx, counts=None):
 
 def iter_odd_prime_powers(first, max_q, step):
     """(q, p, n) for each odd prime power q = p^n in
-    range(first, max_q + 1, step): is_prime, else a lookup in one table of
-    the powers p^n <= max_q with n >= 2, built on the first step."""
+    range(first, max_q + 1, step), by a segmented sieve set up on the first
+    step: the odd primes r <= sqrt(max_q), from one bytearray sieve, build
+    the table of powers p^n <= max_q with n >= 2 and mark, in a segment
+    starting at lo, the terms at i = -lo / step (mod r) (all or none when
+    r | step) but never r itself, so an odd q >= 3 left unmarked is prime.
+    Segments double from 64 terms to SIEVE_SEGMENT_CAP, so the first q
+    comes out before the rest of the range is enumerated."""
+    terms = range(first, max_q + 1, step)
+    if (first | step) % 2 == 0:
+        return                  # every term is even
+    root = math.isqrt(max(max_q, 0))
+    sieve = bytearray([1]) * (root + 1)
+    for r in range(3, math.isqrt(root) + 1, 2):
+        sieve[r * r::2 * r] = bytes(len(range(r * r, root + 1, 2 * r)))
+    primes = [r for r in range(3, root + 1, 2) if sieve[r]]
     higher = {}
-    for p in range(3, math.isqrt(max(max_q, 0)) + 1, 2):
-        if is_prime(p):
-            pn, n = p * p, 2
-            while pn <= max_q:
-                higher[pn] = (p, n)
-                pn, n = pn * p, n + 1
-    for q in range(first, max_q + 1, step):
-        if q % 2 == 0 or q < 3:
-            continue
-        if is_prime(q):
-            yield q, q, 1
-        elif q in higher:
-            yield (q,) + higher[q]
+    for p in primes:
+        pn, n = p * p, 2
+        while pn <= max_q:
+            higher[pn] = (p, n)
+            pn, n = pn * p, n + 1
+    at, size = 0, 64
+    while at < len(terms):
+        seg = terms[at:at + size]
+        top, lo = max(seg[0], seg[-1]), seg[0]
+        composite = bytearray(len(seg))
+        for r in primes:
+            if r * r > top:
+                break
+            if step % r:
+                start, stride = -lo * pow(step, -1, r) % r, r
+            elif lo % r == 0:
+                start, stride = 0, 1
+            else:
+                continue
+            composite[start::stride] = b"\1" * len(range(start, len(seg),
+                                                         stride))
+            if r in seg:
+                composite[seg.index(r)] = 0
+        for q, marked in zip(seg, composite):
+            if q % 2 == 0 or q < 3:
+                continue
+            if not marked:
+                yield q, q, 1
+            elif q in higher:
+                yield (q,) + higher[q]
+        at += size
+        size = min(2 * size, SIEVE_SEGMENT_CAP)
 
 
 def _search_one(args):
@@ -584,7 +628,7 @@ def passes_prefilter(q, ell):
     Search steps through exactly this class and then applies passes_mann,
     which needs the characteristic p of F_q as well as q, before it builds
     a field."""
-    k, r = divmod(q - 1, ell)
+    k, r = divmod(operator.index(q) - 1, _positive_ell(ell))
     return r == 0 and k % 2 == 1 and (k - 1) % ell == 0
 
 
@@ -612,7 +656,18 @@ def passes_mann(q, p, ell):
     a prime field and v* = p for an extension field.  So K is ruled out
     when some prime r divides n = k - (k - 1)/ell to an odd power and
     is_self_conjugate(r, p).  No field is needed: one factorization of n
-    and one pow per odd-power prime factor."""
+    and one pow per odd-power prime factor.
+
+    Mann never rejects a prime q at ell = 2, 10, 26, 50, ..., where ell - 1
+    is an odd square s^2.  Here ell^2 n = (ell - 1) q + 1, and q = 1 + k ell
+    = 3 (mod 4), as k is odd and ell = 2 (mod 4).  A prime r | n is not q,
+    as ell^2 n = 1 (mod q).  For odd r, s^2 q = -1 (mod r) makes -q a
+    square mod r, and quadratic reciprocity with q = 3 (mod 4) gives
+    (r/q) = (-1/r)(q/r) = (-q/r) = 1.  For r = 2, 8 | ell^2 n and s^2 = 1
+    (mod 8) give q = 7 (mod 8), so (2/q) = 1 by the supplementary law.  So
+    r is a square mod q, of odd order dividing (q - 1)/2: never
+    self-conjugate."""
+    q, p, ell = operator.index(q), operator.index(p), _positive_ell(ell)
     k = (q - 1) // ell
     n = k - (k - 1) // ell
     return not any(e % 2 and is_self_conjugate(r, p) for r, e in factorize(n))
@@ -633,8 +688,9 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
 
     Bad arguments raise here, when iter_search is called.  Candidates then
     stream through the class passes_prefilter admits, q = ell + 1
-    (mod ell^2) (none for odd ell), so with one worker the first hit comes
-    before the rest of the range is enumerated.  Mann's self-conjugacy test
+    (mod ell^2) (none for odd ell), from the segmented sieve of
+    iter_odd_prime_powers, so with one worker the first hit comes before
+    the rest of the range is enumerated.  Mann's self-conjugacy test
     (passes_mann, with v* = p, the characteristic, for prime and extension
     fields alike) drops the q it proves are no difference set before any
     field is built or any worker sees them.  The fields of the rest build no
@@ -642,9 +698,8 @@ def iter_search(ell, max_q, min_q=3, prime_only=False, jobs=1):
     table and the full report (all four detectors and the certificate
     battery, recording whether q is prime and whether k is a perfect
     square)."""
-    ell, max_q, min_q = map(operator.index, (ell, max_q, min_q))
-    if ell < 1:
-        raise InvalidEll("ell must be >= 1, got %d" % ell)
+    ell = _positive_ell(ell)
+    max_q, min_q = map(operator.index, (max_q, min_q))
     if ell == 1:
         raise EllOne("search needs ell >= 2")
     if max_q > SEARCH_MAX_Q:

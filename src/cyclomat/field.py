@@ -8,8 +8,10 @@ multiplication by h on digit vectors, is the sum of h_i C^i for C, the
 companion matrix of the modulus (multiplication by x; Lidl and
 Niederreiter, *Finite Fields*, ch. 2).  ``mul_idx``, ``pow_idx`` and the
 one power kernel, ``power_digits``, which builds the powers of any element
-(or block) by doubling, run on it; prime fields keep native ints in
-``mul_idx`` and ``pow_idx``.  ``is_irreducible`` runs Rabin's test on C.
+(or block) by doubling, run on it.  A prime field builds no companion
+stack: its matrix is the 1 x 1 scalar h mod p, so it keeps native ints in
+``mul_idx`` and ``pow_idx`` and the doubling step multiplies by a scalar.
+``is_irreducible`` runs Rabin's test on C.
 The int64 steps are exact while n (p-1)^2 < 2^63, else ContextTooLarge is
 raised.  K, the ell-th powers, is built lazily within
 TABLE_BUDGET_BYTES and serves the screen and the classes.  No table of all
@@ -38,6 +40,7 @@ from .errors import (
     EvenP,
     InternalError,
     InvalidDegree,
+    InvalidEll,
     NoModulusAvailable,
     NotAGenerator,
     OutOfDomain,
@@ -73,6 +76,7 @@ def is_prime(m):
     m < psi_4 = 3215031751 (Jaeschke 1993), and the first 13 primes, through
     41, every m < psi_13 (Sorenson and Webster 2017).  The first 12 would
     not: psi_12 = 318665857834031151167461 is composite and passes them."""
+    m = operator.index(m)
     if m < 2:
         return False
     for sp in _MR_WITNESSES:
@@ -135,6 +139,7 @@ def factorize(m):
 
     Trial division up to 10**6, then Brent-Pollard rho on what remains.
     """
+    m = operator.index(m)
     if m < 1:
         raise OutOfDomain("factorize needs m >= 1, not %d" % m)
     factors = {}
@@ -230,9 +235,9 @@ class FieldCtx:
     """A concrete F_{p^n}: modulus, generator and the factors of q - 1.
 
     Construction resolves the modulus, stacks the powers C^0 .. C^(n-1) of
-    its companion matrix C, factors q - 1 and finds the generator.  The
-    digits of K, the ell-th powers, are built once per ell on first use;
-    nothing else changes after construction.
+    its companion matrix C (for n = 1 only C^0 = [1]), factors q - 1 and
+    finds the generator.  The digits of K, the ell-th powers, are built
+    once per ell on first use; nothing else changes after construction.
     """
 
     __slots__ = ("p", "n", "q", "modulus", "generator_index", "_subgroups",
@@ -256,11 +261,14 @@ class FieldCtx:
         self.q = p ** n
         self.modulus = self._resolve_modulus(modulus)
         # row i is C^i, flattened; for n == 1 the one row is C^0 = [1]
-        c = _companion(self.modulus, p)
-        powers = [np.eye(n, dtype=np.int64)]
-        for _ in range(n - 1):
-            powers.append(powers[-1] @ c % p)
-        self._x_powers = np.array(powers).reshape(n, n * n)
+        if n == 1:
+            self._x_powers = np.ones((1, 1), dtype=np.int64)
+        else:
+            c = _companion(self.modulus, p)
+            powers = [np.eye(n, dtype=np.int64)]
+            for _ in range(n - 1):
+                powers.append(powers[-1] @ c % p)
+            self._x_powers = np.array(powers).reshape(n, n * n)
         self.factors_qm1 = factorize(self.q - 1)
         self.generator_index = self._resolve_generator(generator)
         self._subgroups = {}
@@ -312,12 +320,22 @@ class FieldCtx:
                                   "%d-byte budget"
                                   % (what, self.q, need, TABLE_BUDGET_BYTES))
 
+    def subgroup_order(self, ell):
+        """k = (q-1)/ell, the order of K, for an integral ell >= 1 that
+        divides q - 1 (TypeError on a non-integral ell, else InvalidEll)."""
+        ell = operator.index(ell)
+        if ell < 1 or (self.q - 1) % ell != 0:
+            raise InvalidEll("ell=%d does not divide q-1=%d"
+                             % (ell, self.q - 1))
+        return (self.q - 1) // ell
+
     def subgroup_digits(self, ell):
         """Digits of K = {g^(ell t)}, t < (q-1)/ell: read-only, built once."""
         if ell not in self._subgroups:
+            k = self.subgroup_order(ell)
             self.require_table_budget("the subgroup of %d-th powers" % ell)
             h = self.pow_idx(self.generator_index, ell)
-            self._subgroups[ell] = power_digits(self, h, (self.q - 1) // ell)
+            self._subgroups[ell] = power_digits(self, h, k)
             self._subgroups[ell].flags.writeable = False
         return self._subgroups[ell]
 
@@ -471,7 +489,9 @@ def power_digits(field, h, m, block=None):
     given an (n, w) digit ``block``, column j w + c is h^j times its column c.
 
     The field's one multiplication matrix, ``FieldCtx.mul_matrix(h)``,
-    multiplies by h on digit vectors.  Each step appends that matrix times
+    multiplies by h on digit vectors; on a prime field it is the 1 x 1
+    scalar h mod p, and the step multiplies the (1, e) block by that scalar
+    rather than taking a matrix product.  Each step appends the matrix times
     the columns so far, mod p, then squares the matrix mod p, so it
     multiplies by h^2 at the next step, where the columns double.  Products
     and their sums stay below n (p-1)^2 and indices below q; FieldCtx
@@ -481,16 +501,16 @@ def power_digits(field, h, m, block=None):
     digits = np.empty((n, m), dtype=np.int64)
     s = 1 if block is None else block.shape[1]
     digits[:, :s] = np.eye(n, 1, dtype=np.int64) if block is None else block
-    mat = field.mul_matrix(h)
+    mul, mat = ((np.multiply, h % p) if n == 1
+                else (np.matmul, field.mul_matrix(h)))
     while s < m:
         e = min(s, m - s)
         out = digits[:, s:s + e]
-        np.matmul(mat, digits[:, :e], out=out)
+        mul(mat, digits[:, :e], out=out)
         np.mod(out, p, out=out)
         s += e
         if s < m:
-            mat = np.matmul(mat, mat)
-            np.mod(mat, p, out=mat)
+            mat = mul(mat, mat) % p
     return digits
 
 

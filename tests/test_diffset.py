@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import (
     CycloCtx,
@@ -428,13 +428,27 @@ def test_candidate_stream_matches_prefilter_rule(monkeypatch):
                     (ell, min_q, max_q, prime_only)
 
 
-def test_odd_prime_powers_match_single_q_route():
-    for first, max_q, step in ((0, 3000, 1), (5, 20000, 16), (7, 6561, 2),
-                               (6, 500, 6), (3, 3, 1), (5, -9, 8)):
-        want = [(q,) + odd_prime_power(q)
-                for q in range(first, max_q + 1, step)
-                if odd_prime_power(q) is not None]
-        assert list(iter_odd_prime_powers(first, max_q, step)) == want
+@settings(max_examples=120, deadline=None)
+@given(st.integers(-10, 3 * 10 ** 4), st.integers(-10, 3 * 10 ** 4),
+       st.integers(1, 64))
+@example(3, 3 * 10 ** 4, 30)     # 2, 3 and 5 divide step: all or none marked
+@example(7, 5000, 14)            # every term a multiple of 7, and 7 prime
+@example(13, 13 + 64 * 16, 16)   # 65 terms: a second segment of one term
+@example(5, 5 + 191 * 64, 64)    # 192 terms: two full segments
+@example(1, 3 * 10 ** 4, 1)      # segments of 64 .. 2^14 terms, then a cut one
+@example(-10, 200, 1)            # terms below 3, and q = r for each r
+@example(173, 173 ** 2, 173 - 1)  # the one square of a sieving prime
+@example(0, 3000, 1)
+@example(5, 20000, 16)
+@example(7, 6561, 2)
+@example(6, 500, 6)
+@example(3, 3, 1)
+@example(5, -9, 8)
+def test_odd_prime_powers_match_single_q_route(first, max_q, step):
+    # the segmented sieve against sympy's factorization, q by q
+    want = [(q,) + odd_prime_power(q) for q in range(first, max_q + 1, step)
+            if odd_prime_power(q) is not None]
+    assert list(iter_odd_prime_powers(first, max_q, step)) == want
 
 
 def test_first_hit_streams_before_the_range_is_enumerated(monkeypatch):
@@ -507,6 +521,55 @@ def test_mann_keeps_every_classical_hit():
              and 64 * math.isqrt((q - 9) // 64) ** 2 + 9 == q]
     assert octic == [73]
     assert all(passes_mann(q, q, 8) for q in octic)
+
+
+def test_mann_never_rejects_a_prime_when_ell_minus_one_is_a_square():
+    # the derivation in passes_mann's docstring: ell = s^2 + 1, s odd
+    from sympy import isprime
+
+    for ell in (2, 10, 26, 50, 82):
+        primes = [q for q in range(ell + 1, 2 * 10 ** 5 + 1, ell * ell)
+                  if isprime(q)]
+        assert primes and all(passes_prefilter(q, ell) for q in primes)
+        assert all(passes_mann(q, q, ell) for q in primes), ell
+
+
+def test_mann_rejects_primes_at_ell_six():
+    # ell - 1 = 5 is no square, and Mann rules out prime candidates
+    from sympy import isprime
+
+    primes = [q for q in range(7, 2 * 10 ** 4, 36) if isprime(q)]
+    rejected = [q for q in primes if not passes_mann(q, q, 6)]
+    assert 0 < len(rejected) < len(primes)
+    for q in rejected[:5]:
+        assert lehmer_screen(build_field(q), 6) is None, q
+
+
+def test_prefilter_and_mann_refuse_bad_arguments():
+    # ell = 0 raised ZeroDivisionError, and passes_prefilter(5.0, 2)
+    # answered; numpy ints still index like ints
+    for ell in (0, -4):
+        with pytest.raises(InvalidEll):
+            passes_prefilter(5, ell)
+        with pytest.raises(InvalidEll):
+            passes_mann(37, 37, ell)
+    for args in ((5.0, 2), (5, 2.0)):
+        with pytest.raises(TypeError):
+            passes_prefilter(*args)
+    for args in ((37.0, 37, 4), (37, 37.0, 4), (37, 37, 4.0)):
+        with pytest.raises(TypeError):
+            passes_mann(*args)
+    assert passes_prefilter(np.int64(37), np.int64(4))
+    assert passes_mann(np.int64(37), np.int64(37), np.int64(4))
+
+
+def test_lehmer_screen_refuses_an_ell_off_q_minus_one():
+    field = build_field(23)
+    for ell in (0, 4, 5, -2):
+        with pytest.raises(InvalidEll):
+            lehmer_screen(field, ell)
+        with pytest.raises(InvalidEll):
+            diffset._difference_counts_by_class(field, ell)
 
 
 def test_mann_rejects_only_failed_screens():

@@ -12,6 +12,7 @@ from cyclomat import (
     CycloCtx,
     EvenP,
     InvalidDegree,
+    InvalidEll,
     NotAGenerator,
     OutOfDomain,
     ReducibleModulus,
@@ -469,3 +470,32 @@ def test_dlog_and_powers_refuse_non_integral_arguments(fields):
                 f.dlog_of(x)
         with pytest.raises(TypeError):
             f.pow_idx(4, 1.5)
+
+
+def test_subgroup_digits_refuses_an_ell_off_q_minus_one():
+    # 4 does not divide 22: the digits were five powers of an element of
+    # order 11, [1, 4, 16, 18, 3], which form no subgroup
+    f = build_field(23)
+    for ell in (4, 5, 23, 44):
+        with pytest.raises(InvalidEll):
+            f.subgroup_digits(ell)
+    for ell in (0, -2):        # ell = 0 raised ZeroDivisionError
+        with pytest.raises(InvalidEll):
+            f.subgroup_digits(ell)
+    with pytest.raises(TypeError):
+        f.subgroup_digits(2.0)
+    assert f.encode_array(f.subgroup_digits(np.int64(2))).tolist() == [
+        pow(f.generator_index, 2 * t, 23) for t in range(11)]
+    assert f.subgroup_order(11) == 2 and f.subgroup_order(22) == 1
+
+
+def test_number_theory_helpers_refuse_non_integral_arguments():
+    # is_prime(7.0) said True and factorize(12.0) factored; numpy ints
+    # still index like ints
+    for m in (7.0, 2.5, np.float64(7.0)):
+        with pytest.raises(TypeError):
+            is_prime(m)
+        with pytest.raises(TypeError):
+            factorize(m)
+    assert is_prime(np.int64(7)) and not is_prime(np.int64(9))
+    assert factorize(np.int64(12)) == [(2, 2), (3, 1)]

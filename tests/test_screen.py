@@ -2,6 +2,7 @@
 the bruteforce and modified detectors, and the classes built from K's
 cosets."""
 
+import math
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import CycloCtx, build_field
 from cyclomat import diffset, iter_search, search
+from cyclomat import field as field_module
 from cyclomat.diffset import (
     SEARCH_MAX_Q,
     _difference_counts_by_class,
@@ -237,3 +239,46 @@ def test_parallel_search_streams_first_hit(monkeypatch):
     kept = [q for q, p, _ in drawn if diffset.passes_mann(q, p, 4)]
     assert kept[:2] == [5, 37] and len(kept) <= 8 * (2 * 2 + 1)
     assert time.perf_counter() - start < 60
+
+
+# the largest prime p with (p - 1)^2 < 2^63, the int64 bound of FieldCtx
+INT64_EDGE_P = 3037000493
+
+
+def test_scalar_step_at_the_int64_edge(monkeypatch):
+    # every product of the scalar step is near (p - 1)^2; an overflow would
+    # wrap and break the agreement with Python's pow
+    p = INT64_EDGE_P
+    assert (p - 1) ** 2 < 2 ** 63 and not any(
+        is_prime(m) for m in range(p + 1, math.isqrt(2 ** 63 - 1) + 2))
+    field = build_field(p)
+    for h in (p - 1, p - 2, 2 ** 31 + 11, field.generator_index):
+        digits = power_digits(field, h, 300)
+        assert digits[0].tolist() == [pow(h, j, p) for j in range(300)]
+        block = np.array([[1, p - 1, p // 2 + 3]], dtype=np.int64)
+        got = power_digits(field, h, 300, block=block)
+        assert got[0].tolist() == [pow(h, j // 3, p) * int(block[0, j % 3])
+                                   % p for j in range(300)]
+    # p - 1 = 4 * 1543 * 492061, so K of order 1543 needs 12 KB, though the
+    # guard, sized for a build over all of F_q, would refuse it
+    ell = 4 * 492061
+    monkeypatch.setattr(field_module, "TABLE_BUDGET_BYTES", 1 << 62)
+    h = pow(field.generator_index, ell, p)
+    assert field.subgroup_digits(ell)[0].tolist() == [
+        pow(h, t, p) for t in range(1543)]
+
+
+def test_prime_field_multiplies_by_a_scalar(monkeypatch):
+    # a prime field builds no companion stack: its multiplication matrix is
+    # the 1 x 1 scalar h mod p
+    def refused(*args, **kwargs):
+        raise AssertionError("companion matrix built for a prime field")
+
+    monkeypatch.setattr(field_module, "_companion", refused)
+    for p in (3, 101, 10007, INT64_EDGE_P):
+        field = build_field(p)
+        for h in (0, 1, 2, p - 1, p, 3 * p + 2, field.generator_index):
+            mat = field.mul_matrix(h)
+            assert mat.dtype == np.int64 and mat.tolist() == [[h % p]]
+    with pytest.raises(AssertionError):
+        build_field(3, 2)
