@@ -27,9 +27,12 @@ and a trace is invariant under conjugation.  (u, v) fails exactly when
 the least v = -u mod ell over the failing u (_first_v).
 
 Group-ring products use the characters of (F_q, +) = (Z/p)^n, on which a
-class indicator lives once reshaped to (p,)*n.  The ell products
+class indicator lives once reshaped to (p,)*n.  NumPy runs a prime length
+p by Bluestein's chirp-z method, at several times the cost of a padded
+5-smooth one, so a prime field pads its axis to the least 5-smooth
+L >= 2p - 1 and folds the product back mod p.  The ell products
 alpha_u alpha_0 are formed over slices of u (one rfftn and one inverse per
-class), rounded; a residual of 1/4 or more raises InternalError.  Past
+slice), rounded; a residual of 1/4 or more raises InternalError.  Past
 q = MAX_CONVOLUTION_Q or SPECTRA_BUDGET_BYTES of spectra live at once it
 raises ContextTooLarge before allocating.
 
@@ -84,21 +87,41 @@ def regular_rep(ctx, v):
 # group-ring level
 # ----------------------------------------------------------------------
 
+def _fft_length(field):
+    """The transform length of the last axis of (Z/p)^n: p on an extension
+    field, and on a prime field the least 5-smooth L >= 2p - 1, at which
+    the cyclic product of two length-p rows is their linear one."""
+    if field.n > 1:
+        return field.p
+    m = 2 * field.p - 1
+    best, f5 = 1 << (m - 1).bit_length(), 1
+    while f5 < best:                     # best over 2^a 3^b 5^c, by (b, c)
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << (-(-m // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _slice_width(ctx):
-    """Classes per slice of _class_products: about eight (width, q) arrays
-    of 8-byte words are live at once, within ARRAY_BUDGET_BYTES."""
-    return min(ctx.ell, max(1, ARRAY_BUDGET_BYTES // (64 * ctx.q)))
+    """Classes per slice of _class_products: about eight (width, L q/p)
+    arrays of 8-byte words are live at once, within ARRAY_BUDGET_BYTES / 32
+    (2 MiB), so that a slice's transforms run in a core's cache."""
+    padded = ctx.q // ctx.field.p * _fft_length(ctx.field)
+    return min(ctx.ell, max(1, ARRAY_BUDGET_BYTES // (2048 * padded)))
 
 
 def _convolution_refusal(ctx):
     """Why the group-ring convolution refuses ctx, or None: past q =
     MAX_CONVOLUTION_Q, or when the spectra live at once would take more than
-    SPECTRA_BUDGET_BYTES.  Each spectrum is 8 (q + q/p) bytes; K's stays
-    live, beside a slice's and their product, so 2 w + 1 of them for a
-    slice of w classes."""
+    SPECTRA_BUDGET_BYTES.  Each spectrum is 16 (L//2 + 1) q/p bytes; K's
+    stays live, beside a slice's and their product, so 2 w + 1 of them for
+    a slice of w classes."""
     if ctx.q > MAX_CONVOLUTION_Q:
         return "group-ring convolution guarded at q <= %d" % MAX_CONVOLUTION_Q
-    live = 8 * (2 * _slice_width(ctx) + 1) * (ctx.q + ctx.q // ctx.field.p)
+    spectrum = 16 * (_fft_length(ctx.field) // 2 + 1) * (ctx.q // ctx.field.p)
+    live = (2 * _slice_width(ctx) + 1) * spectrum
     if live > SPECTRA_BUDGET_BYTES:
         return "class spectra at ell=%d, q=%d are past %d bytes" % (
             ctx.ell, ctx.q, SPECTRA_BUDGET_BYTES)
@@ -109,25 +132,31 @@ def _class_products(ctx):
     """An iterator of (start, counts) over slices of u, with counts[u - start,
     z] = #{(x, y) in g^u K x K : x + y = z}, the coefficients of P_u =
     alpha_u alpha_0, from the rfftn of each class indicator on (p,)*n
-    (index 0 in no class).  Refusals raise here, before any allocation."""
+    (index 0 in no class), its last axis zero-padded to L = _fft_length.
+    The product is zero past 2p - 2 < L, so adding its entries p .. L-1
+    onto 0 .. L-p-1 folds it back mod p (nothing when L = p).  Refusals
+    raise here, before any allocation."""
     from numpy import fft
 
-    field, ell, q, cls = ctx.field, ctx.ell, ctx.q, ctx.classes
+    field, ell, q, p, cls = ctx.field, ctx.ell, ctx.q, ctx.field.p, ctx.classes
     why = _convolution_refusal(ctx)
     if why is not None:
         raise ContextTooLarge(why)
-    shape, axes = (field.p,) * field.n, tuple(range(1, field.n + 1))
+    shape, axes = (p,) * field.n, tuple(range(1, field.n + 1))
+    size = shape[:-1] + (_fft_length(field),)
     step = _slice_width(ctx)
     ind0 = cls == 0
     ind0[0] = False                              # index 0 is in no class
-    spec0 = fft.rfftn(ind0.reshape(shape))
+    spec0 = fft.rfftn(ind0.reshape((1,) + shape), s=size, axes=axes)
 
     def slices():
         for start in range(0, ell, step):
             ind = cls == np.arange(start, min(start + step, ell))[:, None]
             ind[:, 0] = False
-            raw = fft.irfftn(fft.rfftn(ind.reshape((-1,) + shape), axes=axes)
-                             * spec0, s=shape, axes=axes).reshape(-1, q)
+            raw = fft.irfftn(fft.rfftn(ind.reshape((-1,) + shape), s=size,
+                                       axes=axes) * spec0, s=size, axes=axes)
+            raw[..., :size[-1] - p] += raw[..., p:]      # fold back mod p
+            raw = raw[..., :p].reshape(-1, q)
             out = np.rint(raw)
             worst = float(np.abs(raw - out).max())
             if worst >= 0.25:
@@ -356,9 +385,9 @@ def verify_inner_product_identity(ctx, seed=0):
     win = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([t, t]).T, ell, axis=1)
 
-    def dot(a, b, c, d):
-        return (win[(b - a) % ell, ell - a] * win[(d - c) % ell, ell - c]
-                ).sum(axis=1)
+    def dot(a, b, c, d):            # exact in any order under _law_dtype
+        return np.einsum("ij,ij->i", win[(b - a) % ell, ell - a],
+                         win[(d - c) % ell, ell - c])
 
     res = VerifySuiteResult()
     fail, count = None, ell ** 4 if quads is None else len(quads)

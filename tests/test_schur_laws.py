@@ -6,13 +6,15 @@ the verdict and the first counterexample these loops find, in row-major
 (u, v) order, whichever array dtype the verifiers run on.
 """
 
+import math
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclomat import (
     ContextTooLarge,
@@ -402,6 +404,47 @@ def test_fft_kernel_matches_group_ring_product(fields, pn, data):
     assert [int(c) for c in counts] == [prod.coefficient(z) for z in range(q)]
 
 
+_PRIMES_TO_1500 = [p for p in range(3, 1501)
+                   if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_fft_length_is_the_least_5_smooth_past_2p():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    for p in _PRIMES_TO_1500 + [12289, 65537, 99991]:
+        want = next(m for m in range(2 * p - 1, 4 * p) if smooth(m))
+        assert schur._fft_length(SimpleNamespace(p=p, n=1)) == want, p
+        assert schur._fft_length(SimpleNamespace(p=p, n=2)) == p
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(_PRIMES_TO_1500), pick=st.integers(0, 11),
+       i=st.integers(0, 11), v=st.integers(0, 11))
+@example(p=3, pick=1, i=1, v=0)
+@example(p=13, pick=3, i=2, v=1)
+@example(p=41, pick=5, i=7, v=3)
+@example(p=7, pick=2, i=1, v=2)
+@example(p=11, pick=3, i=9, v=4)
+@example(p=1499, pick=0, i=0, v=0)
+def test_padded_kernel_matches_group_ring_product(fields, p, pick, i, v):
+    # prime fields multiply at the least 5-smooth L >= 2p - 1 and fold the
+    # product back mod p.  2p - 1 = 5, 25, 81 is already 5-smooth at p = 3,
+    # 13, 41; p = 7 and 11 pad 13 to 15 and 21 to 24; p = 1499 at ell = 1
+    # has k = 1498.  Every z is compared, the fold edge z = p - 1 (no wrap)
+    # and z = p - 2 (the wrap of x = y = p - 1) among them
+    ells = [d for d in range(1, 13) if (p - 1) % d == 0]
+    ell = ells[pick % len(ells)]
+    ctx = CycloCtx(fields(p, 1), ell)
+    counts = class_convolution_counts(ctx, i % ell, v % ell)
+    prod = class_sum(ctx, i % ell) * class_sum(ctx, v % ell)
+    assert counts.dtype == np.int64 and counts.shape == (p,)
+    assert counts.tolist() == [prod.coefficient(z) for z in range(p)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(pn=st.sampled_from(_SMALL_FIELDS), data=st.data())
 def test_inner_product_windows_match_reference(fields, pn, data):
@@ -490,17 +533,20 @@ def test_column_products_memory_is_quadratic_in_ell():
 
 def _live_spectra_bytes(ctx, width):
     # K's spectrum beside a slice's and their product: 2 width + 1
-    # spectra of 8 (q + q/p) bytes
-    return 8 * (2 * width + 1) * (ctx.q + ctx.q // ctx.field.p)
+    # spectra of 16 (L//2 + 1) q/p bytes, L the padded last axis
+    half = schur._fft_length(ctx.field) // 2 + 1
+    return 16 * (2 * width + 1) * half * (ctx.q // ctx.field.p)
 
 
 def test_convolution_budget_refuses_before_allocating(monkeypatch):
-    # all 990 class spectra of F_99991 take 792 MB, but only K's and a
-    # slice of 10 classes are live at once: checked, not refused
+    # all 990 class spectra of F_99991, padded to L = 200000, take 1.58 GB,
+    # but only K's and a slice of one class are live at once: checked, not
+    # refused
     ctx = CycloCtx(build_field(99991), 990)
     assert schur._convolution_refusal(ctx) is None
+    assert _live_spectra_bytes(ctx, 1) == 16 * 3 * 100001
     monkeypatch.setattr(schur, "SPECTRA_BUDGET_BYTES",
-                        _live_spectra_bytes(ctx, 10) - 1)
+                        _live_spectra_bytes(ctx, 1) - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ContextTooLarge):
@@ -515,9 +561,9 @@ def test_convolution_budget_refuses_before_allocating(monkeypatch):
 
 def test_convolution_spectra_budget_boundary(monkeypatch):
     # the refusal falls exactly at the live spectra of a slice: all 8
-    # classes of F_73, and 6 of F_343, whose spectra are 8 (q + q/p) bytes
-    for (p, n, ell), live in (((73, 1, 8), 8 * 17 * 74),
-                              ((7, 3, 6), 8 * 13 * 392)):
+    # classes of F_73, padded to L = 150, and 6 of F_343, unpadded
+    for (p, n, ell), live in (((73, 1, 8), 16 * 17 * 76),
+                              ((7, 3, 6), 16 * 13 * 4 * 49)):
         ctx = CycloCtx(build_field(p, n), ell)
         assert _live_spectra_bytes(ctx, ell) == live
         monkeypatch.setattr(schur, "SPECTRA_BUDGET_BYTES", live)
@@ -528,8 +574,9 @@ def test_convolution_spectra_budget_boundary(monkeypatch):
         with pytest.raises(ContextTooLarge):
             verify_structure_constants(ctx)
     monkeypatch.undo()
-    # all 128 class spectra of F_65537 take 67 MB, and all 512 would take
-    # 268 MB, past the budget; a slice of 15 is live at once in either
+    # all 128 class spectra of F_65537, padded to L = 131220, take 134 MB,
+    # and all 512 would take 537 MB, past the budget; a slice of one class
+    # is live at once in either
     field = build_field(65537)
     assert schur._convolution_refusal(CycloCtx(field, 512)) is None
     ctx = CycloCtx(field, 128)
@@ -540,7 +587,7 @@ def test_convolution_spectra_budget_boundary(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _live_spectra_bytes(ctx, 15) + schur.ARRAY_BUDGET_BYTES
+    assert peak < _live_spectra_bytes(ctx, 1) + schur.ARRAY_BUDGET_BYTES
     prod = class_sum(ctx, 3) * class_sum(ctx, 100)
     assert [int(c) for c in counts] == [prod.coefficient(z)
                                         for z in range(ctx.q)]
@@ -616,12 +663,19 @@ def test_bulk_draw_is_the_randrange_sequence(seed):
 
 
 def test_convolution_residual_guard(fields, monkeypatch):
+    # the inverse transform of F_131 runs at the padded L = 270; a residual
+    # of 1/4 or more after the fold back mod 131 still raises
     ctx = CycloCtx(fields(131, 1), 10)
-    irfftn = np.fft.irfftn
-    monkeypatch.setattr(np.fft, "irfftn",
-                        lambda *a, **kw: irfftn(*a, **kw) + 0.3)
+    irfftn, sizes = np.fft.irfftn, []
+
+    def shifted(a, s=None, axes=None):
+        sizes.append(s)
+        return irfftn(a, s=s, axes=axes) + 0.3
+
+    monkeypatch.setattr(np.fft, "irfftn", shifted)
     with pytest.raises(InternalError, match="residual"):
         verify_structure_constants(ctx)
+    assert sizes == [(270,)]
 
 
 def test_package_import_leaves_numpy_fft_unloaded():
